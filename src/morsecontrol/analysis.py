@@ -12,8 +12,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import CZT
 
+from .czt import CZT
 from .errors import InvalidParameterError, TruncationError
 from .parallel import ordered_map
 from .wavepacket import StateGrid, WavePacketModel
@@ -231,12 +231,14 @@ class ScanResult:
 
 
 def sensitivity_scan(state: StateGrid, direction: str, max_shift: float, steps: int,
-                     workers: int = 1, cross_checks: int = 3) -> ScanResult:
+                     workers: int = 1, cross_checks: int = 3,
+                     p: np.ndarray | None = None) -> ScanResult:
     """|<state|displaced(s)>|^2 over shifts s in [0, max_shift].
 
     first_zero is the smallest sampled shift with overlap below 1e-2, or None
     if the scan never gets there. A few shifts are re-checked through the
-    Wigner overlap route for cross-validation.
+    Wigner overlap route for cross-validation, on the momentum grid ``p``
+    (default: the state's automatic grid).
     """
     if steps < 32:
         raise InvalidParameterError(f"steps must be >= 32, got {steps}")
@@ -261,7 +263,7 @@ def sensitivity_scan(state: StateGrid, direction: str, max_shift: float, steps: 
     n_checks = min(max(cross_checks, 0), steps)
     idx = np.unique(np.linspace(0, steps - 1, n_checks).astype(int)) if n_checks else np.array([], int)
     if idx.size:
-        p_grid = auto_momentum_grid(state)
+        p_grid = auto_momentum_grid(state) if p is None else p
         w_base = wigner_transform(state, p_grid, workers=workers)
         w_vals = np.array([
             wigner_overlap(w_base, wigner_transform(displace(float(shifts[i])), p_grid, workers=workers))

@@ -4,14 +4,17 @@ Every command reads one RunConfig (defaults, then --config file, then --set
 overrides, with the MORSECONTROL_WORKERS environment variable trumping the
 worker count), computes pure results, and serializes them with fixed
 formatting so identical configurations produce byte-identical files for any
-worker count. On failure the partially written files of the command are
-removed; exit codes are 0 (ok), 1 (bad input), 2 (internal error).
+worker count. Files are written under temporary names and moved into place
+only when the whole command succeeds, so a failed or interrupted run leaves
+the output directory as it was; exit codes are 0 (ok), 1 (bad input),
+2 (internal error).
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 import traceback
 from pathlib import Path
@@ -30,7 +33,7 @@ from .analysis import (
 from .config import RunConfig, apply_overrides, config_times, parse_config, validate_config
 from .errors import ConfigError
 from .gridfile import GridFile, write_grid
-from .morse import MorseParams, characteristic_times, eigenstate, eigenfunction_table, norm_capture
+from .morse import MorseParams, characteristic_times, eigenfunction_with_capture, eigenstate
 from .parallel import resolve_workers
 from .wavepacket import WavePacketModel, split_even_odd, su2_coefficients
 from .wigner import auto_momentum_grid, lobe_count, wigner_transform
@@ -87,29 +90,40 @@ class _Workspace:
 
 
 class _Outputs:
-    """Tracks files written by one command so failures leave nothing behind."""
+    """Stages one command's files next to their final names.
+
+    ``path`` hands out a temporary name in the output directory; ``commit``
+    moves every staged file onto its final name with ``os.replace``, and
+    ``discard`` deletes whatever is still staged. A command that fails or is
+    interrupted therefore neither leaves a partial file nor clobbers the
+    previous run's files.
+    """
 
     def __init__(self, outdir: str):
         self.dir = Path(outdir)
-        self.written: list[Path] = []
+        self.staged: list[tuple[Path, Path]] = []  # (temporary, final)
 
     def path(self, name: str) -> Path:
         self.dir.mkdir(parents=True, exist_ok=True)
-        p = self.dir / name
-        self.written.append(p)
-        return p
+        tmp = self.dir / f".{name}.{os.getpid()}.tmp"
+        self.staged.append((tmp, self.dir / name))
+        return tmp
 
-    def write_text(self, name: str, lines: list[str]) -> Path:
-        p = self.path(name)
-        p.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        return p
+    def write_text(self, name: str, lines: list[str]) -> None:
+        self.path(name).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
-    def cleanup(self) -> None:
-        for p in self.written:
+    def commit(self) -> None:
+        for tmp, final in self.staged:
+            os.replace(tmp, final)
+        self.staged.clear()
+
+    def discard(self) -> None:
+        for tmp, _ in self.staged:
             try:
-                p.unlink(missing_ok=True)
+                tmp.unlink(missing_ok=True)
             except OSError:
                 pass
+        self.staged.clear()
 
 
 def _state_header(ws: _Workspace, theta: float, t: float, t_frac: float | None) -> list[str]:
@@ -117,6 +131,14 @@ def _state_header(ws: _Workspace, theta: float, t: float, t_frac: float | None) 
     frac = "" if t_frac is None else f" t_frac={t_frac!r}"
     lines.append(f"# theta={theta!r} t={t!r}{frac}")
     return lines
+
+
+def _single_time(ws: _Workspace, command: str) -> tuple[float, float | None]:
+    """(t, t_frac or None) of a command that runs at one time only."""
+    if len(ws.times) > 1:
+        key = "t_frac" if ws.time_fracs is not None else "t_au"
+        raise ConfigError(f"{key}: the {command} command takes one time, got {len(ws.times)}")
+    return ws.times[0], None if ws.time_fracs is None else ws.time_fracs[0]
 
 
 def _lattice(ws: _Workspace):
@@ -130,11 +152,10 @@ def cmd_eigen(ws: _Workspace, out: _Outputs) -> None:
     cfg = ws.cfg
     lines = ws.provenance()
     lines.append("m,energy,exponent,norm,capture")
-    table = eigenfunction_table(ws.params, cfg.n_levels, ws.x)
     for m in range(cfg.n_levels):
         es = eigenstate(ws.params, m)
-        norm = float(np.trapezoid(table[m] * table[m], ws.x))
-        capture = norm_capture(ws.params, m, ws.x)
+        psi, capture = eigenfunction_with_capture(ws.params, m, ws.x)
+        norm = float(np.trapezoid(psi * psi, ws.x))
         lines.append(",".join([
             str(m), ws.fmt(es.energy), ws.fmt(es.exponent), ws.fmt(norm), ws.fmt(capture),
         ]))
@@ -191,8 +212,7 @@ def cmd_wigner(ws: _Workspace, out: _Outputs) -> None:
 
 
 def cmd_carpet(ws: _Workspace, out: _Outputs) -> None:
-    t = ws.times[0]
-    frac = None if ws.time_fracs is None else ws.time_fracs[0]
+    t, frac = _single_time(ws, "carpet")
     grid = carpet(ws.model, t, ws.cfg.theta_count, workers=ws.workers)
     meta = {
         "version": __version__,
@@ -219,7 +239,8 @@ def cmd_metrics(ws: _Workspace, out: _Outputs) -> None:
     lines = ws.provenance()
     lines.append("theta,t_frac,t,dx,dp,action,tile_area,fringe_amplitude,lobe_count")
     for theta, t, frac in _lattice(ws):
-        report = compute_metrics(ws.model, theta, t, with_lobes=True,
+        p = ws.momentum_grid(ws.model.phase_locked(theta, t))
+        report = compute_metrics(ws.model, theta, t, p=p, with_lobes=True,
                                  lobe_threshold=ws.cfg.lobe_threshold, workers=ws.workers)
         lines.append(",".join([
             ws.fmt(report.theta),
@@ -234,16 +255,17 @@ def cmd_metrics(ws: _Workspace, out: _Outputs) -> None:
 
 def cmd_sensitivity(ws: _Workspace, out: _Outputs) -> None:
     cfg = ws.cfg
-    theta = cfg.theta[0]
-    t = ws.times[0]
-    frac = None if ws.time_fracs is None else ws.time_fracs[0]
-    state = ws.model.phase_locked(theta, t)
+    if len(cfg.theta) > 1:
+        raise ConfigError(f"theta: the sensitivity command takes one value, got {len(cfg.theta)}")
+    t, frac = _single_time(ws, "sensitivity")
+    state = ws.model.phase_locked(cfg.theta[0], t)
     if cfg.max_shift is not None:
         max_shift = cfg.max_shift
     else:
         dx_spread, dp_spread = uncertainties(state)
         max_shift = dx_spread if cfg.direction == "position" else dp_spread
-    scan = sensitivity_scan(state, cfg.direction, max_shift, cfg.steps, workers=ws.workers)
+    scan = sensitivity_scan(state, cfg.direction, max_shift, cfg.steps, workers=ws.workers,
+                            p=ws.momentum_grid(state))
     lines = _state_header(ws, state.theta, t, frac)
     lines.append(f"# direction={cfg.direction} max_shift={ws.fmt(max_shift)}")
     lines.append("# first_zero=" + ("" if scan.first_zero is None else ws.fmt(scan.first_zero)))
@@ -351,17 +373,17 @@ def main(argv: list[str] | None = None) -> int:
         ws = _Workspace(cfg)
         out = _Outputs(cfg.outdir)
         COMMANDS[args.command](ws, out)
+        out.commit()
         return 0
     except ValueError as exc:
-        if out is not None:
-            out.cleanup()
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception:
-        if out is not None:
-            out.cleanup()
         traceback.print_exc()
         return 2
+    finally:
+        if out is not None:
+            out.discard()
 
 
 if __name__ == "__main__":

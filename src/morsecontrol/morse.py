@@ -199,6 +199,12 @@ def evaluate_eigenfunction(params: MorseParams, m: int, x_grid: np.ndarray) -> n
     Warns with TruncationWarning when the grid captures less than
     1 - 1e-6 of the analytic norm, then renormalizes on the grid.
     """
+    return eigenfunction_with_capture(params, m, x_grid)[0]
+
+
+def eigenfunction_with_capture(params: MorseParams, m: int,
+                               x_grid: np.ndarray) -> tuple[np.ndarray, float]:
+    """(evaluate_eigenfunction(...), norm_capture(...)) from one evaluation."""
     _check_level(params, m)
     x = _check_grid(x_grid)
     psi = _analytic_eigenfunction(params, m, x)
@@ -211,7 +217,7 @@ def evaluate_eigenfunction(params: MorseParams, m: int, x_grid: np.ndarray) -> n
                 f"grid captures only {captured:.12g} of |psi_{m}|^2; widen the range"
             )
         )
-    return psi / math.sqrt(captured)
+    return psi / math.sqrt(captured), captured
 
 
 def norm_capture(params: MorseParams, m: int, x_grid: np.ndarray) -> float:

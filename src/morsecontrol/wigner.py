@@ -16,9 +16,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.ndimage import gaussian_filter
-from scipy.signal import CZT
 
+from .czt import CZT
 from .errors import AliasingError, GridError, InvalidParameterError
 from .parallel import ordered_map
 from .wavepacket import StateGrid
@@ -28,6 +29,9 @@ MOMENTUM_SPAN_FACTOR = 5.0
 #: Reject momentum grids that do not reach this many spectral widths.
 MOMENTUM_COVERAGE_FACTOR = 3.0
 SUPPORT_CUTOFF = 1e-12
+#: Rows per chirp-z call in the fft branch; larger blocks were slower, the
+#: transform being memory-bound, and the rows stay bit-identical either way.
+ROW_BLOCK = 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,9 +114,10 @@ def wigner_transform(state: StateGrid, p: np.ndarray | None = None,
                      method: str = "fft", workers: int = 1) -> WignerGrid:
     """Wigner distribution of ``state`` on (state.x) x (p).
 
-    method="fft" evaluates the x' sum per row with a chirp-z transform;
-    method="direct" uses the explicit phase-matrix sum. Both are the same
-    fixed-order quadrature and agree to near machine precision.
+    method="fft" evaluates the x' sum with one chirp-z transform per block of
+    ROW_BLOCK rows; method="direct" uses the explicit phase-matrix sum, row
+    by row. Both are the same fixed-order quadrature and agree to near
+    machine precision.
     """
     if method not in ("fft", "direct"):
         raise InvalidParameterError(f"method must be 'fft' or 'direct', got {method!r}")
@@ -136,11 +141,14 @@ def wigner_transform(state: StateGrid, p: np.ndarray | None = None,
             a=complex(np.exp(2j * p[0] * dx)),
         )
         tail_phase = np.exp(-2j * offsets[0] * p)
+        windows = sliding_window_view(padded, 2 * half + 1)
 
-        def row(i: int) -> np.ndarray:
-            seg = padded[i:i + 2 * half + 1]
-            corr = np.conj(seg[::-1]) * seg
+        def block(i: int) -> np.ndarray:
+            seg = windows[i:i + ROW_BLOCK]
+            corr = np.conj(seg[:, ::-1]) * seg
             return np.real(tail_phase * transform(corr)) * (dx / math.pi)
+
+        rows = ordered_map(block, range(0, nx, ROW_BLOCK), workers=workers)
     else:
         phase = np.exp(-2j * np.outer(offsets, p))
 
@@ -149,7 +157,7 @@ def wigner_transform(state: StateGrid, p: np.ndarray | None = None,
             corr = np.conj(seg[::-1]) * seg
             return np.real(corr @ phase) * (dx / math.pi)
 
-    rows = ordered_map(row, range(nx), workers=workers)
+        rows = ordered_map(row, range(nx), workers=workers)
     values = np.vstack(rows)
     norm = float(values.sum() * dx * dp)
     return WignerGrid(x=state.x, p=p, values=values, theta=state.theta,

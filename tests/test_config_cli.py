@@ -257,7 +257,7 @@ def test_partial_outputs_removed_on_failure(tmp_path, capsys):
     code = run_cli([
         "wigner", "--outdir", str(tmp_path),
         "--set", "theta=pi/2", "--set", "t_frac=0,1/8",
-        "--set", "auto_p=false", "--set", "p_max=300",
+        "--set", "auto_p=false", "--set", "p_max=400",
     ] + BASE)
     assert code == 1
     assert "spectral content" in capsys.readouterr().err
@@ -283,3 +283,52 @@ def test_worker_env_override_bytes_identical(tmp_path, monkeypatch):
     assert run_cli(args + ["--outdir", str(tmp_path / "w4")]) == 0
     for name in ("wigner_000.wgrd", "wigner_000.csv"):
         assert (tmp_path / "w1" / name).read_bytes() == (tmp_path / "w4" / name).read_bytes()
+
+
+@pytest.mark.parametrize("command", ["wigner", "metrics", "sensitivity"])
+def test_manual_momentum_grid_honoured(tmp_path, capsys, command):
+    # p_max=1 is far short of the state's momentum spread: every command that
+    # takes a Wigner transform must use this grid and reject it
+    code = run_cli([
+        command, "--outdir", str(tmp_path), "--set", "steps=32",
+        "--set", "auto_p=false", "--set", "p_max=1",
+    ] + BASE)
+    assert code == 1
+    assert "spectral content" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command, setting, key", [
+    ("carpet", "t_frac=0,1/8", "t_frac"),
+    ("carpet", "t_au=0,1000", "t_au"),
+    ("sensitivity", "theta=0,pi/2", "theta"),
+    ("sensitivity", "t_frac=0,1/8", "t_frac"),
+])
+def test_single_point_commands_reject_lists(tmp_path, capsys, command, setting, key):
+    assert run_cli([command, "--outdir", str(tmp_path), "--set", setting] + BASE) == 1
+    assert f"error: {key}: the {command} command takes one" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_failing_rerun_keeps_previous_files(tmp_path, capsys):
+    # p_max=400 covers the state at t=0 (needs 313) but not at T_rev/8 (needs 606)
+    manual = ["--set", "theta=pi/2", "--set", "auto_p=false", "--set", "p_max=400"] + BASE
+    assert run_cli(["wigner", "--outdir", str(tmp_path), "--set", "t_frac=0"] + manual) == 0
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert sorted(before) == ["wigner_000.csv", "wigner_000.wgrd"]
+    # the rerun computes wigner_000 again, then fails on the second time
+    assert run_cli(["wigner", "--outdir", str(tmp_path), "--set", "t_frac=0,1/8"] + manual) == 1
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+@pytest.mark.parametrize("target", ["morsecontrol.cli.write_grid", "pathlib.Path.write_text"])
+def test_interrupt_mid_write_leaves_no_file(tmp_path, monkeypatch, target):
+    def interrupted(path, *args, **kwargs):
+        with open(path, "wb") as fh:
+            fh.write(b"partial")
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(target, interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        run_cli(["wigner", "--outdir", str(tmp_path), "--set", "theta=pi/2"] + BASE)
+    assert list(tmp_path.iterdir()) == []

@@ -1,0 +1,89 @@
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+import scipy.fft
+from scipy.signal import CZT as ScipyCZT
+
+import morsecontrol
+from morsecontrol import StateGrid, wigner_transform
+from morsecontrol.czt import CZT, next_fast_len
+from morsecontrol.wigner import ROW_BLOCK, _support_halfwidth
+
+
+def test_next_fast_len_matches_scipy():
+    for n in range(1, 5000):
+        assert next_fast_len(n) == scipy.fft.next_fast_len(n), n
+
+
+@pytest.mark.parametrize("n, m", [
+    (1387, 512),  # lag length 2*half+1 of a desk-scale state onto the momentum grid
+    (2048, 512),  # a whole desk-scale position grid (momentum_density)
+    (1009, 512),  # prime length
+    (221, 64),    # 13*17: not 11-smooth
+])
+def test_czt_bit_identical_to_scipy(n, m):
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
+    dp, dx, p0 = 0.37, 3.4e-4, -95.0
+    w = complex(np.exp(-2j * dp * dx))
+    a = complex(np.exp(2j * p0 * dx))
+    ours = CZT(n=n, m=m, w=w, a=a)
+    theirs = ScipyCZT(n=n, m=m, w=w, a=a)
+    for row in x:
+        assert np.array_equal(ours(row), theirs(row))
+    # a block of rows transforms exactly as the rows one by one
+    assert np.array_equal(ours(x), np.stack([theirs(row) for row in x]))
+
+
+def test_czt_rejects_wrong_length():
+    with pytest.raises(ValueError, match="length 8"):
+        CZT(n=8, m=4, w=1j, a=1.0)(np.ones(7))
+
+
+def _per_row_wigner(state, p):
+    """The row-by-row scipy.signal.CZT evaluation the blocked transform replaced."""
+    psi = state.psi.astype(np.complex128)
+    nx, dx = psi.size, state.dx
+    half = _support_halfwidth(psi)
+    offsets = dx * np.arange(-half, half + 1)
+    padded = np.zeros(nx + 2 * half, dtype=np.complex128)
+    padded[half:half + nx] = psi
+    dp = float(p[1] - p[0])
+    transform = ScipyCZT(n=offsets.size, m=p.size, w=complex(np.exp(-2j * dp * dx)),
+                         a=complex(np.exp(2j * p[0] * dx)))
+    tail_phase = np.exp(-2j * offsets[0] * p)
+    rows = []
+    for i in range(nx):
+        seg = padded[i:i + 2 * half + 1]
+        corr = np.conj(seg[::-1]) * seg
+        rows.append(np.real(tail_phase * transform(corr)) * (dx / math.pi))
+    return np.vstack(rows)
+
+
+def test_blocked_wigner_equals_per_row_result():
+    x = np.linspace(-8.0, 8.0, 203)
+    assert x.size % ROW_BLOCK != 0  # the last block is partial
+    psi = (np.exp(-((x - 2.5) ** 2) / 1.96) + 0.6j * np.exp(-((x + 2.0) ** 2) / 1.96 + 1.3j * x))
+    psi /= math.sqrt(float(np.trapezoid(np.abs(psi) ** 2, x)))
+    state = StateGrid(x=x, psi=psi, theta=None, t=0.0)
+    p = np.linspace(-5.0, 5.0, 96)
+    expected = _per_row_wigner(state, p)
+    for workers in (1, 3):
+        w = wigner_transform(state, p, method="fft", workers=workers)
+        assert w.values.shape == (203, 96)
+        assert np.array_equal(w.values, expected)
+
+
+def test_import_does_not_load_scipy_signal():
+    src = str(Path(morsecontrol.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, morsecontrol; print('scipy.signal' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True)
+    assert result.stdout.strip() == "False"
