@@ -40,7 +40,6 @@ def main() -> int:
     parser.add_argument("--outdir", default="out_gallery")
     parser.add_argument("--nx", type=int, default=2048)
     parser.add_argument("--np", type=int, default=512)
-    parser.add_argument("--workers", type=int, default=4)
     args = parser.parse_args()
 
     outdir = Path(args.outdir)
@@ -53,7 +52,7 @@ def main() -> int:
           f"{'min W':>9s} {'tile area':>9s}")
     for name, theta, frac in SNAPSHOTS:
         state = model.phase_locked(theta, frac * t_rev)
-        w = wigner_transform(state, workers=args.workers)
+        w = wigner_transform(state)
         lobes = lobe_count(w)
         area = tile_area(state)
         write_grid(outdir / f"{name}.wgrd", GridFile(

@@ -17,11 +17,9 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--outdir", default="out_tables")
     parser.add_argument("--nx", type=int, default=2048)
-    parser.add_argument("--workers", type=int, default=4)
     args = parser.parse_args()
 
-    common = ["--outdir", args.outdir, "--set", f"nx={args.nx}",
-              "--set", f"workers={args.workers}"]
+    common = ["--outdir", args.outdir, "--set", f"nx={args.nx}"]
     for command in ("table1", "table2"):
         code = cli_main([command] + common)
         if code != 0:

@@ -2,8 +2,7 @@
 
 Uncertainty products and inverse tile areas, spatial interference-fringe
 amplitudes, density carpets over the control phase, and displacement
-sensitivity scans. Everything here is a pure function of precomputed states;
-row-level parallelism never changes results.
+sensitivity scans. Everything here is a pure function of precomputed states.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ import numpy as np
 
 from .czt import CZT
 from .errors import InvalidParameterError, TruncationError
-from .parallel import ordered_map
 from .wavepacket import StateGrid, WavePacketModel
 from .wigner import auto_momentum_grid, lobe_count, spectral_moments, wigner_overlap, wigner_transform
 
@@ -179,13 +177,13 @@ def fringe_amplitude(density: np.ndarray, x_grid: np.ndarray, r0: float) -> floa
     return 0.5 * best / r0
 
 
-def carpet(model: WavePacketModel, t: float, theta_count: int, workers: int = 1) -> CarpetGrid:
+def carpet(model: WavePacketModel, t: float, theta_count: int) -> CarpetGrid:
     """Densities at ``theta_count`` uniformly spaced phases covering [0, 2*pi]."""
     if theta_count < 9:
         raise InvalidParameterError(f"theta_count must be >= 9, got {theta_count}")
     thetas = np.linspace(0.0, 2.0 * math.pi, theta_count)
-    rows = ordered_map(lambda th: model.density(th, t), thetas, workers=workers)
-    return CarpetGrid(x=model.x, theta=thetas, density=np.vstack(rows), t=t)
+    density = np.vstack([model.density(th, t) for th in thetas])
+    return CarpetGrid(x=model.x, theta=thetas, density=density, t=t)
 
 
 def displaced_state(state: StateGrid, dx_shift: float = 0.0, dp_shift: float = 0.0) -> StateGrid:
@@ -231,8 +229,7 @@ class ScanResult:
 
 
 def sensitivity_scan(state: StateGrid, direction: str, max_shift: float, steps: int,
-                     workers: int = 1, cross_checks: int = 3,
-                     p: np.ndarray | None = None) -> ScanResult:
+                     cross_checks: int = 3, p: np.ndarray | None = None) -> ScanResult:
     """|<state|displaced(s)>|^2 over shifts s in [0, max_shift].
 
     first_zero is the smallest sampled shift with overlap below 1e-2, or None
@@ -256,7 +253,7 @@ def sensitivity_scan(state: StateGrid, direction: str, max_shift: float, steps: 
         inner = np.trapezoid(np.conj(state.psi) * moved.psi, state.x)
         return float(np.abs(inner) ** 2)
 
-    overlaps = np.array(ordered_map(one, shifts, workers=workers))
+    overlaps = np.array([one(s) for s in shifts])
     below = np.flatnonzero(overlaps < OVERLAP_ZERO_LEVEL)
     first_zero = float(shifts[below[0]]) if below.size else None
 
@@ -264,9 +261,9 @@ def sensitivity_scan(state: StateGrid, direction: str, max_shift: float, steps: 
     idx = np.unique(np.linspace(0, steps - 1, n_checks).astype(int)) if n_checks else np.array([], int)
     if idx.size:
         p_grid = auto_momentum_grid(state) if p is None else p
-        w_base = wigner_transform(state, p_grid, workers=workers)
+        w_base = wigner_transform(state, p_grid)
         w_vals = np.array([
-            wigner_overlap(w_base, wigner_transform(displace(float(shifts[i])), p_grid, workers=workers))
+            wigner_overlap(w_base, wigner_transform(displace(float(shifts[i])), p_grid))
             for i in idx
         ])
     else:
@@ -277,7 +274,7 @@ def sensitivity_scan(state: StateGrid, direction: str, max_shift: float, steps: 
 
 def compute_metrics(model: WavePacketModel, theta: float, t: float,
                     p: np.ndarray | None = None, with_lobes: bool = True,
-                    lobe_threshold: float = 0.3, workers: int = 1) -> MetricsReport:
+                    lobe_threshold: float = 0.3) -> MetricsReport:
     """Full MetricsReport for one (theta, t) point of the lattice."""
     state = model.phase_locked(theta, t)
     dx_spread, dp_spread = uncertainties(state)
@@ -285,7 +282,7 @@ def compute_metrics(model: WavePacketModel, theta: float, t: float,
     fringes = fringe_amplitude(state.density, state.x, model.params.r0)
     lobes = None
     if with_lobes:
-        w = wigner_transform(state, p, workers=workers)
+        w = wigner_transform(state, p)
         lobes = lobe_count(w, lobe_threshold)
     return MetricsReport(
         theta=float(state.theta), t=float(t), dx=dx_spread, dp=dp_spread,

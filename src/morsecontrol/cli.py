@@ -1,13 +1,12 @@
 """Command-line scenarios: deterministic CSV and grid-file outputs.
 
 Every command reads one RunConfig (defaults, then --config file, then --set
-overrides, with the MORSECONTROL_WORKERS environment variable trumping the
-worker count), computes pure results, and serializes them with fixed
-formatting so identical configurations produce byte-identical files for any
-worker count. Files are written under temporary names and moved into place
-only when the whole command succeeds, so a failed or interrupted run leaves
-the output directory as it was; exit codes are 0 (ok), 1 (bad input),
-2 (internal error).
+overrides, then the MORSECONTROL_WORKERS environment variable), computes pure
+results, and serializes them with fixed formatting so identical
+configurations produce byte-identical files. Files are written under
+temporary names and moved into place only when the whole command succeeds,
+so a failed or interrupted run leaves the output directory as it was; exit
+codes are 0 (ok), 1 (bad input), 2 (internal error).
 """
 
 from __future__ import annotations
@@ -30,11 +29,11 @@ from .analysis import (
     tile_area,
     uncertainties,
 )
-from .config import RunConfig, apply_overrides, config_times, parse_config, validate_config
+from .config import (RunConfig, apply_environment, apply_overrides, config_times,
+                     parse_config, validate_config)
 from .errors import ConfigError
 from .gridfile import GridFile, write_grid
 from .morse import MorseParams, characteristic_times, eigenfunction_with_capture, eigenstate
-from .parallel import resolve_workers
 from .wavepacket import WavePacketModel, split_even_odd, su2_coefficients
 from .wigner import auto_momentum_grid, lobe_count, wigner_transform
 
@@ -60,7 +59,7 @@ class _Workspace:
         self.x = np.linspace(cfg.x_min, cfg.x_max, cfg.nx)
         self.classical_period, self.revival_time = characteristic_times(self.params)
         self.times, self.time_fracs = config_times(cfg, self.revival_time)
-        self.workers = resolve_workers(cfg.workers)
+        self.spec = ".17g" if cfg.format == "full" else ".9g"
         self._model: WavePacketModel | None = None
 
     @property
@@ -76,8 +75,7 @@ class _Workspace:
         return np.linspace(-self.cfg.p_max, self.cfg.p_max, self.cfg.np)
 
     def fmt(self, value: float) -> str:
-        digits = 17 if self.cfg.format == "full" else 9
-        return f"{value:.{digits}g}"
+        return format(value, self.spec)
 
     def provenance(self) -> list[str]:
         return [
@@ -96,12 +94,14 @@ class _Outputs:
     moves every staged file onto its final name with ``os.replace``, and
     ``discard`` deletes whatever is still staged. A command that fails or is
     interrupted therefore neither leaves a partial file nor clobbers the
-    previous run's files.
+    previous run's files. ``remove`` names a previous run's file that the
+    command no longer writes; it is deleted at ``commit`` and only there.
     """
 
     def __init__(self, outdir: str):
         self.dir = Path(outdir)
         self.staged: list[tuple[Path, Path]] = []  # (temporary, final)
+        self.removed: list[Path] = []
 
     def path(self, name: str) -> Path:
         self.dir.mkdir(parents=True, exist_ok=True)
@@ -112,9 +112,14 @@ class _Outputs:
     def write_text(self, name: str, lines: list[str]) -> None:
         self.path(name).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
+    def remove(self, name: str) -> None:
+        self.removed.append(self.dir / name)
+
     def commit(self) -> None:
         for tmp, final in self.staged:
             os.replace(tmp, final)
+        for path in self.removed:
+            path.unlink(missing_ok=True)
         self.staged.clear()
 
     def discard(self) -> None:
@@ -139,6 +144,17 @@ def _single_time(ws: _Workspace, command: str) -> tuple[float, float | None]:
         key = "t_frac" if ws.time_fracs is not None else "t_au"
         raise ConfigError(f"{key}: the {command} command takes one time, got {len(ws.times)}")
     return ws.times[0], None if ws.time_fracs is None else ws.time_fracs[0]
+
+
+def _grid_lines(ws: _Workspace, row_axis: np.ndarray, col_axis: np.ndarray,
+                values: np.ndarray):
+    """``row,column,value`` CSV lines of a 2-d grid in row-major order."""
+    spec = ws.spec
+    col_text = [ws.fmt(c) for c in col_axis]
+    for r, row in zip(row_axis, values):
+        head = ws.fmt(r) + ","
+        for c_text, v in zip(col_text, row.tolist()):
+            yield f"{head}{c_text},{v:{spec}}"
 
 
 def _lattice(ws: _Workspace):
@@ -177,7 +193,7 @@ def cmd_state(ws: _Workspace, out: _Outputs) -> None:
 
 
 def _wigner_meta(ws: _Workspace, w, lobes: int, t_frac: float | None) -> dict[str, str]:
-    meta = {
+    return {
         "version": __version__,
         "theta": repr(float(w.theta)) if w.theta is not None else "",
         "t": repr(float(w.t)),
@@ -189,13 +205,12 @@ def _wigner_meta(ws: _Workspace, w, lobes: int, t_frac: float | None) -> dict[st
         "lobe_count": str(lobes),
         "lobe_threshold": repr(ws.cfg.lobe_threshold),
     }
-    return meta
 
 
 def cmd_wigner(ws: _Workspace, out: _Outputs) -> None:
     for index, (theta, t, frac) in enumerate(_lattice(ws)):
         state = ws.model.phase_locked(theta, t)
-        w = wigner_transform(state, ws.momentum_grid(state), workers=ws.workers)
+        w = wigner_transform(state, ws.momentum_grid(state))
         lobes = lobe_count(w, ws.cfg.lobe_threshold)
         write_grid(out.path(f"wigner_{index:03d}.wgrd"), GridFile(
             axes=(w.x, w.p), payload=w.values, meta=_wigner_meta(ws, w, lobes, frac),
@@ -203,17 +218,13 @@ def cmd_wigner(ws: _Workspace, out: _Outputs) -> None:
         lines = _state_header(ws, state.theta, t, frac)
         lines.append(f"# lobe_count={lobes} norm_captured={ws.fmt(w.norm_captured)}")
         lines.append("x,p,w")
-        for i, xi in enumerate(w.x):
-            xi_text = ws.fmt(xi)
-            row = w.values[i]
-            for k, pk in enumerate(w.p):
-                lines.append(",".join([xi_text, ws.fmt(pk), ws.fmt(row[k])]))
+        lines.extend(_grid_lines(ws, w.x, w.p, w.values))
         out.write_text(f"wigner_{index:03d}.csv", lines)
 
 
 def cmd_carpet(ws: _Workspace, out: _Outputs) -> None:
     t, frac = _single_time(ws, "carpet")
-    grid = carpet(ws.model, t, ws.cfg.theta_count, workers=ws.workers)
+    grid = carpet(ws.model, t, ws.cfg.theta_count)
     meta = {
         "version": __version__,
         "t": repr(float(t)),
@@ -227,11 +238,7 @@ def cmd_carpet(ws: _Workspace, out: _Outputs) -> None:
     lines = ws.provenance()
     lines.append(f"# t={t!r}" + ("" if frac is None else f" t_frac={frac!r}"))
     lines.append("theta,x,density")
-    for i, th in enumerate(grid.theta):
-        th_text = ws.fmt(th)
-        row = grid.density[i]
-        for j, xj in enumerate(grid.x):
-            lines.append(",".join([th_text, ws.fmt(xj), ws.fmt(row[j])]))
+    lines.extend(_grid_lines(ws, grid.theta, grid.x, grid.density))
     out.write_text("carpet.csv", lines)
 
 
@@ -241,7 +248,7 @@ def cmd_metrics(ws: _Workspace, out: _Outputs) -> None:
     for theta, t, frac in _lattice(ws):
         p = ws.momentum_grid(ws.model.phase_locked(theta, t))
         report = compute_metrics(ws.model, theta, t, p=p, with_lobes=True,
-                                 lobe_threshold=ws.cfg.lobe_threshold, workers=ws.workers)
+                                 lobe_threshold=ws.cfg.lobe_threshold)
         lines.append(",".join([
             ws.fmt(report.theta),
             "" if frac is None else ws.fmt(frac),
@@ -264,7 +271,7 @@ def cmd_sensitivity(ws: _Workspace, out: _Outputs) -> None:
     else:
         dx_spread, dp_spread = uncertainties(state)
         max_shift = dx_spread if cfg.direction == "position" else dp_spread
-    scan = sensitivity_scan(state, cfg.direction, max_shift, cfg.steps, workers=ws.workers,
+    scan = sensitivity_scan(state, cfg.direction, max_shift, cfg.steps,
                             p=ws.momentum_grid(state))
     lines = _state_header(ws, state.theta, t, frac)
     lines.append(f"# direction={cfg.direction} max_shift={ws.fmt(max_shift)}")
@@ -322,6 +329,8 @@ def cmd_table2(ws: _Workspace, out: _Outputs) -> None:
                 ws.fmt(value), ws.fmt(value * ws.params.r0), ws.fmt(reference),
             ]))
         out.write_text("table2_convention_report.csv", report)
+    else:
+        out.remove("table2_convention_report.csv")
 
 
 COMMANDS = {
@@ -362,7 +371,7 @@ def load_config(args: argparse.Namespace) -> RunConfig:
         cfg = apply_overrides(cfg, [f"outdir={args.outdir}"])
     if args.set:
         cfg = apply_overrides(cfg, args.set)
-    return cfg
+    return apply_environment(cfg, os.environ)
 
 
 def main(argv: list[str] | None = None) -> int:

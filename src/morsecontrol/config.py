@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass, fields, replace
 
 from .errors import ConfigError
@@ -88,7 +89,7 @@ class RunConfig:
     direction: str = "position"
     lobe_threshold: float = 0.3
     outdir: str = "out"
-    workers: int = 1
+    workers: int = 1  # accepted and validated; has no effect
     format: str = "full"
 
 
@@ -210,6 +211,19 @@ def apply_overrides(cfg: RunConfig, overrides: list[str]) -> RunConfig:
         key, _, raw = item.partition("=")
         cfg = _assign(cfg, key.strip(), raw.strip(), f"--set {key.strip()}")
     return validate_config(cfg)
+
+
+#: Environment override of the ``workers`` key, applied after ``--set``; like
+#: the key it is parsed and validated but has no effect on any result.
+WORKERS_ENV_VAR = "MORSECONTROL_WORKERS"
+
+
+def apply_environment(cfg: RunConfig, environ: Mapping[str, str]) -> RunConfig:
+    """Apply the MORSECONTROL_WORKERS override, if set, and revalidate."""
+    raw = environ.get(WORKERS_ENV_VAR)
+    if raw is None:
+        return cfg
+    return validate_config(_assign(cfg, "workers", raw, WORKERS_ENV_VAR), WORKERS_ENV_VAR)
 
 
 def config_times(cfg: RunConfig, revival_time: float) -> tuple[tuple[float, ...], tuple[float, ...] | None]:

@@ -5,9 +5,8 @@ W(x, p) = (1/pi) * integral dx' conj(psi(x - x')) * psi(x + x') * exp(-2i*p*x')
 with the state normalized in the dimensionless position coordinate and p its
 conjugate (hbar = 1), so that the marginals, the normalization
 integral(W) = 1 and the purity 2*pi*integral(W^2) = 1 all hold without extra
-scale factors. The x' quadrature is a fixed-order Riemann sum limited to the
-state's support; rows in x are independent, which makes the transform
-embarrassingly parallel and bit-reproducible for any worker count.
+scale factors. The x' quadrature is a Riemann sum limited to the state's
+support, summed in a fixed order so results are reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ from scipy.ndimage import gaussian_filter
 
 from .czt import CZT
 from .errors import AliasingError, GridError, InvalidParameterError
-from .parallel import ordered_map
 from .wavepacket import StateGrid
 
 DEFAULT_MOMENTUM_POINTS = 512
@@ -29,8 +27,8 @@ MOMENTUM_SPAN_FACTOR = 5.0
 #: Reject momentum grids that do not reach this many spectral widths.
 MOMENTUM_COVERAGE_FACTOR = 3.0
 SUPPORT_CUTOFF = 1e-12
-#: Rows per chirp-z call in the fft branch; larger blocks were slower, the
-#: transform being memory-bound, and the rows stay bit-identical either way.
+#: Rows per chirp-z call; larger blocks were slower, the transform being
+#: memory-bound, and the rows stay bit-identical either way.
 ROW_BLOCK = 8
 
 
@@ -110,17 +108,11 @@ def _check_momentum_grid(state: StateGrid, p: np.ndarray) -> np.ndarray:
     return p
 
 
-def wigner_transform(state: StateGrid, p: np.ndarray | None = None,
-                     method: str = "fft", workers: int = 1) -> WignerGrid:
+def wigner_transform(state: StateGrid, p: np.ndarray | None = None) -> WignerGrid:
     """Wigner distribution of ``state`` on (state.x) x (p).
 
-    method="fft" evaluates the x' sum with one chirp-z transform per block of
-    ROW_BLOCK rows; method="direct" uses the explicit phase-matrix sum, row
-    by row. Both are the same fixed-order quadrature and agree to near
-    machine precision.
+    The x' sum runs as one chirp-z transform per block of ROW_BLOCK rows.
     """
-    if method not in ("fft", "direct"):
-        raise InvalidParameterError(f"method must be 'fft' or 'direct', got {method!r}")
     if p is None:
         p = auto_momentum_grid(state)
     p = _check_momentum_grid(state, p)
@@ -134,30 +126,18 @@ def wigner_transform(state: StateGrid, p: np.ndarray | None = None,
     padded[half:half + nx] = psi
 
     dp = float(p[1] - p[0])
-    if method == "fft":
-        transform = CZT(
-            n=offsets.size, m=p.size,
-            w=complex(np.exp(-2j * dp * dx)),
-            a=complex(np.exp(2j * p[0] * dx)),
-        )
-        tail_phase = np.exp(-2j * offsets[0] * p)
-        windows = sliding_window_view(padded, 2 * half + 1)
-
-        def block(i: int) -> np.ndarray:
-            seg = windows[i:i + ROW_BLOCK]
-            corr = np.conj(seg[:, ::-1]) * seg
-            return np.real(tail_phase * transform(corr)) * (dx / math.pi)
-
-        rows = ordered_map(block, range(0, nx, ROW_BLOCK), workers=workers)
-    else:
-        phase = np.exp(-2j * np.outer(offsets, p))
-
-        def row(i: int) -> np.ndarray:
-            seg = padded[i:i + 2 * half + 1]
-            corr = np.conj(seg[::-1]) * seg
-            return np.real(corr @ phase) * (dx / math.pi)
-
-        rows = ordered_map(row, range(nx), workers=workers)
+    transform = CZT(
+        n=offsets.size, m=p.size,
+        w=complex(np.exp(-2j * dp * dx)),
+        a=complex(np.exp(2j * p[0] * dx)),
+    )
+    tail_phase = np.exp(-2j * offsets[0] * p)
+    windows = sliding_window_view(padded, 2 * half + 1)
+    rows = []
+    for i in range(0, nx, ROW_BLOCK):
+        seg = windows[i:i + ROW_BLOCK]
+        corr = np.conj(seg[:, ::-1]) * seg
+        rows.append(np.real(tail_phase * transform(corr)) * (dx / math.pi))
     values = np.vstack(rows)
     norm = float(values.sum() * dx * dp)
     return WignerGrid(x=state.x, p=p, values=values, theta=state.theta,

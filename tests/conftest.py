@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from morsecontrol import I2, WavePacketModel, characteristic_times, split_even_odd, su2_coefficients
+from morsecontrol.wigner import _support_halfwidth
 
 DEFAULT_NX = 2048
 
@@ -25,3 +28,29 @@ def model(x_grid, coeffs):
 def times():
     t_cl, t_rev = characteristic_times(I2)
     return t_cl, t_rev
+
+
+def _direct_wigner(state, p):
+    """Wigner values by the explicit phase-matrix sum over x', row by row.
+
+    The same quadrature as ``wigner_transform`` (same support, lags and
+    prefactor) without the chirp-z transform: the oracle for the fast path.
+    """
+    psi = state.psi.astype(np.complex128)
+    nx, dx = psi.size, state.dx
+    half = _support_halfwidth(psi)
+    offsets = dx * np.arange(-half, half + 1)
+    padded = np.zeros(nx + 2 * half, dtype=np.complex128)
+    padded[half:half + nx] = psi
+    phase = np.exp(-2j * np.outer(offsets, np.asarray(p, dtype=float)))
+    rows = []
+    for i in range(nx):
+        seg = padded[i:i + 2 * half + 1]
+        corr = np.conj(seg[::-1]) * seg
+        rows.append(np.real(corr @ phase) * (dx / math.pi))
+    return np.vstack(rows)
+
+
+@pytest.fixture(scope="session")
+def direct_wigner():
+    return _direct_wigner

@@ -61,7 +61,7 @@ def classification_states(model, t_rev):
 
 @pytest.fixture(scope="module")
 def classification_wigner(classification_states):
-    return {label: wigner_transform(state, workers=4)
+    return {label: wigner_transform(state)
             for label, (state, _) in classification_states.items()}
 
 
@@ -138,7 +138,8 @@ def test_criterion_2_superposition_identities(model, t_rev):
     assert not failures
 
 
-def test_criterion_3_wigner_correctness(model, t_rev, classification_states, classification_wigner):
+def test_criterion_3_wigner_correctness(model, t_rev, classification_states, classification_wigner,
+                                        direct_wigner):
     failures = []
     worst_pos = worst_mom = worst_norm = worst_purity = 0.0
     for label, w in classification_wigner.items():
@@ -157,7 +158,7 @@ def test_criterion_3_wigner_correctness(model, t_rev, classification_states, cla
         failures.append(f"normalization off by {worst_norm:.2e} >= 1e-3")
 
     for t in (0.0, t_rev / 16, t_rev / 8):
-        w = wigner_transform(model.phase_locked(math.pi / 2, t), workers=4)
+        w = wigner_transform(model.phase_locked(math.pi / 2, t))
         worst_purity = max(worst_purity, abs(purity(w) - 1.0))
     if worst_purity >= 5e-3:
         failures.append(f"purity deviates {worst_purity:.2e} >= 5e-3")
@@ -176,15 +177,15 @@ def test_criterion_3_wigner_correctness(model, t_rev, classification_states, cla
     for a, b in pairs:
         direct = abs(np.trapezoid(np.conj(a.psi) * b.psi, a.x)) ** 2
         routed = wigner_overlap(
-            wigner_transform(a, p_common, workers=4),
-            wigner_transform(b, p_common, workers=4),
+            wigner_transform(a, p_common),
+            wigner_transform(b, p_common),
         )
         worst_overlap = max(worst_overlap, abs(routed - direct))
     if worst_overlap >= 5e-3:
         failures.append(f"Wigner-route overlap deviates {worst_overlap:.2e} >= 5e-3")
     orthogonal = wigner_overlap(
-        wigner_transform(pairs[0][0], p_common, workers=4),
-        wigner_transform(pairs[0][1], p_common, workers=4),
+        wigner_transform(pairs[0][0], p_common),
+        wigner_transform(pairs[0][1], p_common),
     )
     if abs(orthogonal) >= 1e-3:
         failures.append(f"opposite-phase overlap {orthogonal:.2e} >= 1e-3")
@@ -194,9 +195,8 @@ def test_criterion_3_wigner_correctness(model, t_rev, classification_states, cla
     psi /= math.sqrt(float(np.trapezoid(np.abs(psi) ** 2, x_smoke)))
     smoke = StateGrid(x=x_smoke, psi=psi, theta=None, t=0.0)
     p_smoke = np.linspace(-5.0, 5.0, 128)
-    fast = wigner_transform(smoke, p_smoke, method="fft")
-    direct = wigner_transform(smoke, p_smoke, method="direct")
-    gap = float(np.abs(fast.values - direct.values).max())
+    fast = wigner_transform(smoke, p_smoke)
+    gap = float(np.abs(fast.values - direct_wigner(smoke, p_smoke)).max())
     if gap >= 1e-8:
         failures.append(f"fast path deviates {gap:.2e} >= 1e-8 on the smoke grid")
 
@@ -357,8 +357,7 @@ def test_criterion_7_table1_shape(model, t_rev):
 def test_criterion_8_sensitivity(model, t_rev):
     state = model.phase_locked(math.pi / 2, t_rev / 8)
     dx_spread, _ = uncertainties(state)
-    scan = sensitivity_scan(state, "position", max_shift=dx_spread / 2, steps=64,
-                            workers=4, cross_checks=3)
+    scan = sensitivity_scan(state, "position", max_shift=dx_spread / 2, steps=64, cross_checks=3)
     failures = []
     if not abs(scan.overlaps[0] - 1.0) < 1e-6:
         failures.append(f"overlap at zero shift is {scan.overlaps[0]:.8f}")

@@ -56,7 +56,7 @@ def test_eigenstate_respects_uncertainty_bound(model):
 def test_momentum_spread_against_wigner_marginal(model, times):
     _, t_rev = times
     state = model.phase_locked(math.pi / 2, t_rev / 8)
-    w = wigner_transform(state, workers=2)
+    w = wigner_transform(state)
     _, mom = marginals(w)
     total = float(np.sum(mom) * w.dp)
     mean = float(np.sum(w.p * mom) * w.dp) / total
@@ -197,7 +197,7 @@ def test_sensitivity_scan_validation(toy_x):
 
 def test_carpet_rows_normalized(model, times):
     _, t_rev = times
-    grid = carpet(model, t_rev / 8, theta_count=9, workers=2)
+    grid = carpet(model, t_rev / 8, theta_count=9)
     assert grid.density.shape == (9, model.x.size)
     for row in grid.density:
         assert np.trapezoid(row, grid.x) == pytest.approx(1.0, abs=1e-6)
@@ -206,7 +206,7 @@ def test_carpet_rows_normalized(model, times):
 def test_carpet_rows_pairwise_identity(model, times):
     _, t_rev = times
     t = t_rev / 8
-    grid = carpet(model, t, theta_count=9, workers=1)
+    grid = carpet(model, t, theta_count=9)
     parity_sum = (np.abs(model.subsidiary("even", t).psi) ** 2
                   + np.abs(model.subsidiary("odd", t).psi) ** 2)
     # theta spacing is pi/4, so row i + 4 sits at theta_i + pi
@@ -217,7 +217,7 @@ def test_carpet_rows_pairwise_identity(model, times):
 def test_carpet_t0_rows_have_no_fringes(model):
     from morsecontrol import I2
 
-    grid = carpet(model, 0.0, theta_count=9, workers=1)
+    grid = carpet(model, 0.0, theta_count=9)
     for row in grid.density:
         assert fringe_amplitude(row, grid.x, I2.r0) < 1e-6
 
@@ -225,13 +225,6 @@ def test_carpet_t0_rows_have_no_fringes(model):
 def test_carpet_requires_nine_rows(model):
     with pytest.raises(InvalidParameterError):
         carpet(model, 0.0, theta_count=5)
-
-
-def test_carpet_deterministic_across_workers(model, times):
-    _, t_rev = times
-    a = carpet(model, t_rev / 16, theta_count=9, workers=1)
-    b = carpet(model, t_rev / 16, theta_count=9, workers=4)
-    assert np.array_equal(a.density, b.density)
 
 
 def test_first_zero_tracks_tile_extent(model, times):

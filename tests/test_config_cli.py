@@ -169,6 +169,31 @@ def test_wigner_command_writes_gridfile(tmp_path):
     assert (tmp_path / "wigner_000.csv").exists()
 
 
+def _assert_csv_matches_grid(csv_path, wgrd_path):
+    """A ``row,column,value`` grid CSV holds its .wgrd's axes and payload row-major."""
+    lines = [l for l in csv_path.read_text().splitlines() if l and not l.startswith("#")]
+    table = np.array([[float(v) for v in l.split(",")] for l in lines[1:]])
+    grid = read_grid(wgrd_path)
+    rows, cols = grid.axes
+    assert np.array_equal(table[:, 0], np.repeat(rows, cols.size))
+    assert np.array_equal(table[:, 1], np.tile(cols, rows.size))
+    assert np.array_equal(table[:, 2], grid.payload.ravel())
+
+
+def test_grid_csvs_match_their_grid_files(tmp_path):
+    # at format=full every float round-trips, so each CSV holds its .wgrd exactly
+    assert run_cli([
+        "wigner", "--outdir", str(tmp_path), "--set", "theta=pi/2",
+        "--set", "t_frac=0,1/8", "--set", "format=full",
+    ] + BASE) == 0
+    assert run_cli([
+        "carpet", "--outdir", str(tmp_path), "--set", "theta_count=9",
+        "--set", "t_frac=1/16", "--set", "format=full",
+    ] + BASE) == 0
+    for stem in ("wigner_000", "wigner_001", "carpet"):
+        _assert_csv_matches_grid(tmp_path / f"{stem}.csv", tmp_path / f"{stem}.wgrd")
+
+
 def test_carpet_command(tmp_path):
     assert run_cli([
         "carpet", "--outdir", str(tmp_path), "--set", "theta_count=9",
@@ -283,6 +308,49 @@ def test_worker_env_override_bytes_identical(tmp_path, monkeypatch):
     assert run_cli(args + ["--outdir", str(tmp_path / "w4")]) == 0
     for name in ("wigner_000.wgrd", "wigner_000.csv"):
         assert (tmp_path / "w1" / name).read_bytes() == (tmp_path / "w4" / name).read_bytes()
+
+
+@pytest.mark.parametrize("env, setting, name", [
+    ("0", None, "MORSECONTROL_WORKERS"),
+    ("abc", None, "MORSECONTROL_WORKERS"),
+    (None, "workers=0", "workers"),
+])
+def test_bad_worker_settings_rejected(tmp_path, monkeypatch, capsys, env, setting, name):
+    # the worker count has no effect on any result, but it is still validated
+    if env is None:
+        monkeypatch.delenv("MORSECONTROL_WORKERS", raising=False)
+    else:
+        monkeypatch.setenv("MORSECONTROL_WORKERS", env)
+    extra = [] if setting is None else ["--set", setting]
+    assert run_cli(["eigen", "--outdir", str(tmp_path)] + extra + BASE) == 1
+    assert name in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_rerun_without_report_removes_stale_report(tmp_path):
+    # at the defaults the tile areas miss their references and table2 writes
+    # the convention report; at alpha=1 they meet them and it writes none
+    report = tmp_path / "table2_convention_report.csv"
+    assert run_cli(["table2", "--outdir", str(tmp_path)]) == 0
+    assert report.exists()
+    assert run_cli(["table2", "--outdir", str(tmp_path), "--set", "alpha=1"]) == 0
+    assert not report.exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["table2.csv"]
+
+
+def test_failed_rerun_keeps_report(tmp_path, monkeypatch):
+    assert run_cli(["table2", "--outdir", str(tmp_path)]) == 0
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert "table2_convention_report.csv" in before
+
+    def interrupted(*args):
+        raise KeyboardInterrupt
+
+    # the alpha=1 rerun writes no report, then fails before its files move in
+    monkeypatch.setattr("os.replace", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        run_cli(["table2", "--outdir", str(tmp_path), "--set", "alpha=1"])
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 @pytest.mark.parametrize("command", ["wigner", "metrics", "sensitivity"])

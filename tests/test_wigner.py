@@ -36,24 +36,23 @@ def smoke_x():
     return np.linspace(-8.0, 8.0, 128)
 
 
-def test_matches_analytic_gaussian(smoke_x):
+def test_matches_analytic_gaussian(smoke_x, direct_wigner):
     sigma, x0, p0 = 0.7, 0.5, 1.2
     state = gaussian_state(smoke_x, x0, p0, sigma)
     p = np.linspace(-6.0, 6.0, 96)
-    w = wigner_transform(state, p, method="direct")
+    values = direct_wigner(state, p)
     xg, pg = np.meshgrid(smoke_x, p, indexing="ij")
     analytic = (1.0 / math.pi) * np.exp(
         -((xg - x0) ** 2) / (2 * sigma**2) - 2 * sigma**2 * (pg - p0) ** 2
     )
-    assert np.abs(w.values - analytic).max() < 1e-8
+    assert np.abs(values - analytic).max() < 1e-8
 
 
-def test_fast_path_matches_direct_quadrature(smoke_x):
+def test_fast_path_matches_direct_quadrature(smoke_x, direct_wigner):
     state = cat_state(smoke_x)
     p = np.linspace(-5.0, 5.0, 128)
-    w_fft = wigner_transform(state, p, method="fft")
-    w_direct = wigner_transform(state, p, method="direct")
-    assert np.abs(w_fft.values - w_direct.values).max() < 1e-8
+    w_fft = wigner_transform(state, p)
+    assert np.abs(w_fft.values - direct_wigner(state, p)).max() < 1e-8
 
 
 def test_normalization_and_purity(smoke_x):
@@ -128,19 +127,6 @@ def test_asymmetric_momentum_grid_rejected(smoke_x):
         wigner_transform(state, np.linspace(-2.0, 6.0, 128))
 
 
-def test_unknown_method_rejected(smoke_x):
-    with pytest.raises(InvalidParameterError):
-        wigner_transform(gaussian_state(smoke_x), np.linspace(-6, 6, 64), method="magic")
-
-
-def test_worker_count_does_not_change_bits(smoke_x):
-    state = cat_state(smoke_x)
-    p = np.linspace(-6.0, 6.0, 128)
-    w1 = wigner_transform(state, p, workers=1)
-    w4 = wigner_transform(state, p, workers=4)
-    assert np.array_equal(w1.values, w4.values)
-
-
 def test_lobe_count_single_gaussian(smoke_x):
     w = wigner_transform(gaussian_state(smoke_x), np.linspace(-6, 6, 128))
     assert [lobe_count(w, f) for f in (0.2, 0.3, 0.4)] == [1, 1, 1]
@@ -184,7 +170,7 @@ def test_interference_tiles_alternate_in_sign(model, times):
     # between the turning-point lobes of the four-way state the distribution
     # crosses zero many times: the sub-Planck fringe witness
     _, t_rev = times
-    w = wigner_transform(model.phase_locked(math.pi / 2, t_rev / 8), workers=4)
+    w = wigner_transform(model.phase_locked(math.pi / 2, t_rev / 8))
     a = (0.157, 0.0)   # outer turning lobe
     b = (-0.084, 0.0)  # inner turning lobe
     samples = []
