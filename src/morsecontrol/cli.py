@@ -31,11 +31,11 @@ from .analysis import (
 )
 from .config import (RunConfig, apply_environment, apply_overrides, config_times,
                      parse_config, validate_config)
-from .errors import ConfigError
+from .errors import ConfigError, RangeAliasingError, SpacingAliasingError
 from .gridfile import GridFile, write_grid
 from .morse import MorseParams, characteristic_times, eigenfunction_with_capture, eigenstate
 from .wavepacket import WavePacketModel, split_even_odd, su2_coefficients
-from .wigner import auto_momentum_grid, lobe_count, wigner_transform
+from .wigner import auto_momentum_grid, check_momentum_grid, lobe_count, wigner_transform
 
 THETA_LABELS = ("0", "pi/8", "pi/4", "3pi/8", "pi/2", "5pi/8", "3pi/4", "7pi/8", "pi")
 THETA_ROW = tuple(k * math.pi / 8.0 for k in range(9))
@@ -70,9 +70,20 @@ class _Workspace:
         return self._model
 
     def momentum_grid(self, state) -> np.ndarray:
+        """The configured momentum grid, rejected naming the keys that fix it
+        when ``state`` would alias on it."""
         if self.cfg.auto_p:
-            return auto_momentum_grid(state, n=self.cfg.np)
-        return np.linspace(-self.cfg.p_max, self.cfg.p_max, self.cfg.np)
+            p = auto_momentum_grid(state, n=self.cfg.np)
+        else:
+            p = np.linspace(-self.cfg.p_max, self.cfg.p_max, self.cfg.np)
+        try:
+            return check_momentum_grid(state, p)
+        except RangeAliasingError as exc:
+            raise ConfigError(
+                f"np, p_max, auto_p: {exc}; raise p_max or set auto_p=true") from exc
+        except SpacingAliasingError as exc:
+            raise ConfigError(
+                f"nx, x_min, x_max: {exc}; raise nx or narrow x_min..x_max") from exc
 
     def fmt(self, value: float) -> str:
         return format(value, self.spec)

@@ -13,6 +13,14 @@ class AliasingError(ValueError):
     """Momentum grid cannot represent the state's spectral content."""
 
 
+class RangeAliasingError(AliasingError):
+    """The momentum grid stops short of the state's spectral content."""
+
+
+class SpacingAliasingError(AliasingError):
+    """The position step is too coarse for exp(-2i*p*x') at the largest p."""
+
+
 class DegenerateSplitError(ValueError):
     """Even/odd split requested but one parity class carries no weight."""
 

@@ -16,10 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.ndimage import gaussian_filter
 
-from .czt import CZT
-from .errors import AliasingError, GridError, InvalidParameterError
+from .czt import CZT, next_fast_len
+from .errors import GridError, InvalidParameterError, RangeAliasingError, SpacingAliasingError
 from .wavepacket import StateGrid
 
 DEFAULT_MOMENTUM_POINTS = 512
@@ -85,7 +84,14 @@ def _support_halfwidth(psi: np.ndarray) -> int:
     return min((hi - lo) // 2 + 8, psi.size - 1)
 
 
-def _check_momentum_grid(state: StateGrid, p: np.ndarray) -> np.ndarray:
+def check_momentum_grid(state: StateGrid, p: np.ndarray) -> np.ndarray:
+    """``p`` as a float array, if the state's Wigner transform can use it.
+
+    Raises GridError for a grid that is not uniform, increasing and
+    symmetric, RangeAliasingError when it stops short of the state's
+    spectral content, and SpacingAliasingError when the position step
+    cannot resolve exp(-2i*p*x') at its largest p.
+    """
     p = np.asarray(p, dtype=float)
     if p.ndim != 1 or p.size < 2:
         raise GridError("momentum grid must be a 1-d array with at least 2 points")
@@ -97,13 +103,15 @@ def _check_momentum_grid(state: StateGrid, p: np.ndarray) -> np.ndarray:
     mean, sigma = spectral_moments(state)
     needed = abs(mean) + MOMENTUM_COVERAGE_FACTOR * sigma
     if p[-1] < needed:
-        raise AliasingError(
+        raise RangeAliasingError(
             f"momentum grid reaches {p[-1]:.4g} but the state's spectral content "
             f"needs at least {needed:.4g}"
         )
-    if 2.0 * p[-1] * state.dx > math.pi:
-        raise AliasingError(
-            "position spacing too coarse to represent exp(-2i*p*x') at the largest p"
+    phase_step = 2.0 * p[-1] * state.dx
+    if phase_step > math.pi:
+        raise SpacingAliasingError(
+            "position spacing too coarse to represent exp(-2i*p*x') at the largest p: "
+            f"2*p_max*dx = {phase_step:.4g} exceeds pi = {math.pi:.4g}"
         )
     return p
 
@@ -115,7 +123,7 @@ def wigner_transform(state: StateGrid, p: np.ndarray | None = None) -> WignerGri
     """
     if p is None:
         p = auto_momentum_grid(state)
-    p = _check_momentum_grid(state, p)
+    p = check_momentum_grid(state, p)
 
     psi = state.psi.astype(np.complex128, copy=False)
     nx = psi.size
@@ -175,6 +183,44 @@ LOBE_CELL_AREA = 1.5
 #: Local maxima closer than this many cell widths are one lobe (tilted lobes
 #: sample as short ridges with several near-degenerate grid maxima).
 LOBE_MERGE_CELLS = 1.5
+#: Rows per FFT call in the coarse grain; bounds the padded work arrays,
+#: and the values are the same for any block size.
+SMOOTH_BLOCK = 32
+
+
+def _smooth_rows(values: np.ndarray, sigma: float) -> np.ndarray:
+    """Gaussian smoothing along axis 1, with zeros beyond both ends.
+
+    A zero-padded linear convolution by FFT. The kernel is that of
+    scipy.ndimage.gaussian_filter1d: radius int(4*sigma + 0.5) samples and
+    weights exp(-k^2/(2 sigma^2)) summing to 1.
+    """
+    radius = int(4.0 * sigma + 0.5)
+    k = np.arange(-radius, radius + 1)
+    kernel = np.exp(-0.5 / (sigma * sigma) * (k * k))
+    kernel /= kernel.sum()
+    n = values.shape[1]
+    nfft = next_fast_len(n + 2 * radius)
+    response = np.fft.rfft(kernel, nfft)
+    out = np.empty(values.shape)
+    for i in range(0, values.shape[0], SMOOTH_BLOCK):
+        block = np.ascontiguousarray(values[i:i + SMOOTH_BLOCK])
+        spectrum = np.fft.rfft(block, nfft) * response
+        out[i:i + SMOOTH_BLOCK] = np.fft.irfft(spectrum, nfft)[:, radius:radius + n]
+    return out
+
+
+def _gaussian_smooth(values: np.ndarray, sigma: tuple[float, float]) -> np.ndarray:
+    """Gaussian smoothing of a 2-d grid with zeros outside it.
+
+    Axis 0 first, then axis 1, as scipy.ndimage.gaussian_filter with
+    mode="constant" does; the two agree to rounding (tests/test_wigner.py).
+    Both passes smooth rows, the axis-0 pass those of the transpose, copied
+    contiguous one block at a time: they transform faster than strided
+    columns.
+    """
+    along_axis0 = _smooth_rows(values.T, sigma[0]).T
+    return _smooth_rows(along_axis0, sigma[1])
 
 
 def _coarse_grain(w: WignerGrid) -> tuple[np.ndarray, float, float]:
@@ -201,8 +247,7 @@ def _coarse_grain(w: WignerGrid) -> tuple[np.ndarray, float, float]:
     sp = _std(w.p, mom)
     cell_x = math.sqrt(LOBE_CELL_AREA * 0.5 * sx / sp)
     cell_p = math.sqrt(LOBE_CELL_AREA * 0.5 * sp / sx)
-    smooth = gaussian_filter(w.values, sigma=(cell_x / w.dx, cell_p / w.dp),
-                             mode="constant", cval=0.0)
+    smooth = _gaussian_smooth(w.values, (cell_x / w.dx, cell_p / w.dp))
     return smooth, cell_x, cell_p
 
 

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from morsecontrol import I2, WavePacketModel, characteristic_times, split_even_odd, su2_coefficients
+from morsecontrol import (I2, WavePacketModel, characteristic_times, split_even_odd,
+                          su2_coefficients, wigner_transform)
 from morsecontrol.wigner import _support_halfwidth
 
 DEFAULT_NX = 2048
@@ -28,6 +29,28 @@ def model(x_grid, coeffs):
 def times():
     t_cl, t_rev = characteristic_times(I2)
     return t_cl, t_rev
+
+
+@pytest.fixture(scope="session")
+def classification_states(model, times):
+    """The six acceptance states, label -> (state, expected lobe count)."""
+    t_rev = times[1]
+    cases = {
+        "cat t=0": (math.pi / 4, 0.0, 2),
+        "compass T/8": (math.pi / 2, t_rev / 8, 4),
+        "diagonal compass T/16": (0.0, t_rev / 16, 4),
+        "plain compass T/16": (math.pi, t_rev / 16, 4),
+        "eightfold T/16 pi/4": (math.pi / 4, t_rev / 16, 8),
+        "eightfold T/16 pi/2": (math.pi / 2, t_rev / 16, 8),
+    }
+    return {label: (model.phase_locked(theta, t), expected)
+            for label, (theta, t, expected) in cases.items()}
+
+
+@pytest.fixture(scope="session")
+def classification_wigner(classification_states):
+    return {label: wigner_transform(state)
+            for label, (state, _) in classification_states.items()}
 
 
 def _direct_wigner(state, p):

@@ -45,26 +45,6 @@ def t_rev():
     return characteristic_times(I2)[1]
 
 
-@pytest.fixture(scope="module")
-def classification_states(model, t_rev):
-    cases = {
-        "cat t=0": (math.pi / 4, 0.0, 2),
-        "compass T/8": (math.pi / 2, t_rev / 8, 4),
-        "diagonal compass T/16": (0.0, t_rev / 16, 4),
-        "plain compass T/16": (math.pi, t_rev / 16, 4),
-        "eightfold T/16 pi/4": (math.pi / 4, t_rev / 16, 8),
-        "eightfold T/16 pi/2": (math.pi / 2, t_rev / 16, 8),
-    }
-    return {label: (model.phase_locked(theta, t), expected)
-            for label, (theta, t, expected) in cases.items()}
-
-
-@pytest.fixture(scope="module")
-def classification_wigner(classification_states):
-    return {label: wigner_transform(state)
-            for label, (state, _) in classification_states.items()}
-
-
 def test_criterion_1_eigenstructure(x_grid):
     failures = []
     depth = I2.depth

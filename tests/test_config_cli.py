@@ -362,7 +362,23 @@ def test_manual_momentum_grid_honoured(tmp_path, capsys, command):
         "--set", "auto_p=false", "--set", "p_max=1",
     ] + BASE)
     assert code == 1
-    assert "spectral content" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error: np, p_max, auto_p: momentum grid reaches 1 but" in err
+    assert "spectral content" in err and "raise p_max or set auto_p=true" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["wigner", "metrics", "sensitivity"])
+def test_coarse_position_grid_names_its_keys(tmp_path, capsys, command):
+    # at nx=128 the position step cannot resolve exp(-2i*p*x') at the largest
+    # momentum of the automatic grid
+    code = run_cli([command, "--outdir", str(tmp_path), "--set", "nx=128", "--set", "np=128"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "error: nx, x_min, x_max: position spacing too coarse" in err
+    phase_step = float(err.split("2*p_max*dx = ")[1].split()[0])
+    assert phase_step > math.pi
+    assert f"exceeds pi = {math.pi:.4g}" in err
     assert list(tmp_path.iterdir()) == []
 
 

@@ -1,15 +1,10 @@
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.fft
 from scipy.signal import CZT as ScipyCZT
 
-import morsecontrol
 from morsecontrol import StateGrid, wigner_transform
 from morsecontrol.czt import CZT, next_fast_len
 from morsecontrol.wigner import ROW_BLOCK, _support_halfwidth
@@ -75,13 +70,3 @@ def test_blocked_wigner_equals_per_row_result():
     w = wigner_transform(state, p)
     assert w.values.shape == (203, 96)
     assert np.array_equal(w.values, _per_row_wigner(state, p))
-
-
-def test_import_does_not_load_scipy_signal():
-    src = str(Path(morsecontrol.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = "import sys, morsecontrol; print('scipy.signal' in sys.modules)"
-    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                            text=True, check=True)
-    assert result.stdout.strip() == "False"

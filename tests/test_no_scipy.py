@@ -1,0 +1,38 @@
+"""The package runs without scipy, which the tests keep only as an oracle."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import morsecontrol
+
+
+def _run_fresh(code: str, cwd: Path) -> subprocess.CompletedProcess:
+    src = str(Path(morsecontrol.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_import_loads_no_scipy(tmp_path):
+    code = ("import sys, morsecontrol; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    result = _run_fresh(code, tmp_path)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("command", ["eigen", "wigner", "metrics"])
+def test_cli_runs_with_scipy_blocked(tmp_path, command):
+    # a None entry in sys.modules makes every scipy import raise ImportError
+    code = ("import sys; sys.modules['scipy'] = None; "
+            "from morsecontrol.cli import main; "
+            f"sys.exit(main([{command!r}, '--outdir', 'out', "
+            "'--set', 'nx=512', '--set', 'np=128']))")
+    result = _run_fresh(code, tmp_path)
+    assert result.returncode == 0, result.stderr
+    assert any((tmp_path / "out").iterdir())

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.ndimage import gaussian_filter
 
 from morsecontrol import (
     StateGrid,
@@ -14,6 +15,7 @@ from morsecontrol import (
     wigner_overlap,
     wigner_transform,
 )
+from morsecontrol import wigner
 from morsecontrol.errors import AliasingError, GridError, InvalidParameterError
 
 
@@ -164,6 +166,43 @@ def test_lobe_count_empty_superlevel_set():
     w = WignerGrid(x=x, p=p, values=-np.ones((64, 32)), theta=None, t=0.0, norm_captured=0.0)
     with pytest.raises(GridError, match="no positive region"):
         lobe_count(w, 0.3)
+
+
+def _scipy_smooth(values, sigma):
+    """The gaussian_filter coarse grain the FFT smoothing replaced."""
+    return gaussian_filter(values, sigma=sigma, mode="constant", cval=0.0)
+
+
+def _assert_close_to_max(ours, theirs):
+    assert ours.shape == theirs.shape
+    assert np.max(np.abs(ours - theirs)) <= 1e-13 * np.max(np.abs(theirs))
+
+
+def test_coarse_grain_matches_scipy_on_acceptance_grids(classification_wigner):
+    for w in classification_wigner.values():
+        smooth, cell_x, cell_p = wigner._coarse_grain(w)
+        _assert_close_to_max(smooth, _scipy_smooth(w.values, (cell_x / w.dx, cell_p / w.dp)))
+
+
+@pytest.mark.parametrize("shape, sigma", [
+    ((40, 24), (0.1, 0.12)),   # radius 0 on both axes: the kernel is [1]
+    ((40, 24), (0.1, 2.5)),    # radius 0 on axis 0 only
+    ((12, 7), (6.0, 9.0)),     # radius 24 and 36, beyond both axis lengths
+    ((97, 33), (3.3, 1.7)),    # odd lengths and a partial last block
+])
+def test_gaussian_smooth_matches_scipy_on_small_grids(shape, sigma):
+    values = np.random.default_rng(sum(shape)).standard_normal(shape)
+    _assert_close_to_max(wigner._gaussian_smooth(values, sigma), _scipy_smooth(values, sigma))
+
+
+def test_lobe_count_matches_scipy_smoothing(classification_wigner, monkeypatch):
+    thresholds = (0.2, 0.3, 0.4)
+    ours = {label: [lobe_count(w, f) for f in thresholds]
+            for label, w in classification_wigner.items()}
+    monkeypatch.setattr(wigner, "_gaussian_smooth", _scipy_smooth)
+    theirs = {label: [lobe_count(w, f) for f in thresholds]
+              for label, w in classification_wigner.items()}
+    assert ours == theirs
 
 
 def test_interference_tiles_alternate_in_sign(model, times):
