@@ -5,10 +5,8 @@ __version__ = "0.1.0"
 
 from .analysis import (
     CarpetGrid,
-    MetricsReport,
     ScanResult,
     carpet,
-    compute_metrics,
     displaced_state,
     fringe_amplitude,
     momentum_density,
@@ -58,7 +56,6 @@ __all__ = [
     "Eigenstate",
     "GridFile",
     "I2",
-    "MetricsReport",
     "MorseParams",
     "RunConfig",
     "ScanResult",
@@ -69,7 +66,6 @@ __all__ = [
     "auto_momentum_grid",
     "carpet",
     "characteristic_times",
-    "compute_metrics",
     "depth_parameter",
     "displaced_state",
     "eigenfunction_table",

@@ -15,7 +15,7 @@ import numpy as np
 from .czt import CZT
 from .errors import InvalidParameterError, TruncationError
 from .wavepacket import StateGrid, WavePacketModel
-from .wigner import auto_momentum_grid, lobe_count, spectral_moments, wigner_overlap, wigner_transform
+from .wigner import auto_momentum_grid, spectral_moments, wigner_overlap, wigner_transform
 
 OVERLAP_ZERO_LEVEL = 1e-2
 
@@ -36,20 +36,6 @@ FRINGE_SWING_BALANCE = 0.35
 FRINGE_MIN_PROMINENCE = 0.02
 
 
-@dataclass(frozen=True)
-class MetricsReport:
-    """Spread, action and structure summary of one (theta, t) state."""
-
-    theta: float
-    t: float
-    dx: float
-    dp: float
-    action: float
-    tile_area: float
-    fringe_amplitude: float
-    lobe_count: int | None
-
-
 @dataclass(frozen=True, eq=False)
 class CarpetGrid:
     """Densities over (theta, x) at a fixed time; one row per theta."""
@@ -57,7 +43,6 @@ class CarpetGrid:
     x: np.ndarray
     theta: np.ndarray
     density: np.ndarray
-    t: float
 
 
 def uncertainties(state: StateGrid) -> tuple[float, float]:
@@ -128,7 +113,7 @@ def fringe_amplitude(density: np.ndarray, x_grid: np.ndarray, r0: float) -> floa
 
     A moving-average background (window tied to the median spacing of the
     density maxima, floored at 0.02 in x) is subtracted; runs of alternating
-    residual extrema inside a 0.05-wide span qualify as fringes when they are
+    residual extrema inside a 0.05-wide stretch qualify as fringes when they are
     at least FRINGE_MIN_EXTREMA long with adjacent swings balanced within
     FRINGE_SWING_BALANCE, which rejects lone packet spikes and the decaying
     ripple train against the steep inner wall. The score is half the largest
@@ -183,7 +168,7 @@ def carpet(model: WavePacketModel, t: float, theta_count: int) -> CarpetGrid:
         raise InvalidParameterError(f"theta_count must be >= 9, got {theta_count}")
     thetas = np.linspace(0.0, 2.0 * math.pi, theta_count)
     density = np.vstack([model.density(th, t) for th in thetas])
-    return CarpetGrid(x=model.x, theta=thetas, density=density, t=t)
+    return CarpetGrid(x=model.x, theta=thetas, density=density)
 
 
 def displaced_state(state: StateGrid, dx_shift: float = 0.0, dp_shift: float = 0.0) -> StateGrid:
@@ -212,15 +197,13 @@ def displaced_state(state: StateGrid, dx_shift: float = 0.0, dp_shift: float = 0
         psi = psi * np.exp(1j * dp_shift * x)
     if dx_shift != 0.0:
         psi = psi / math.sqrt(float(np.trapezoid(np.abs(psi) ** 2, x)))
-    return StateGrid(x=x, psi=psi, theta=state.theta, t=state.t,
-                     params=state.params, coeffs=state.coeffs, parity=state.parity)
+    return StateGrid(x=x, psi=psi, theta=state.theta, t=state.t)
 
 
 @dataclass(frozen=True, eq=False)
 class ScanResult:
     """Displacement sensitivity scan along one phase-space direction."""
 
-    direction: str
     shifts: np.ndarray
     overlaps: np.ndarray
     first_zero: float | None
@@ -268,24 +251,6 @@ def sensitivity_scan(state: StateGrid, direction: str, max_shift: float, steps: 
         ])
     else:
         w_vals = np.array([])
-    return ScanResult(direction=direction, shifts=shifts, overlaps=overlaps,
-                      first_zero=first_zero, wigner_indices=idx, wigner_overlaps=w_vals)
+    return ScanResult(shifts=shifts, overlaps=overlaps, first_zero=first_zero,
+                      wigner_indices=idx, wigner_overlaps=w_vals)
 
-
-def compute_metrics(model: WavePacketModel, theta: float, t: float,
-                    p: np.ndarray | None = None, with_lobes: bool = True,
-                    lobe_threshold: float = 0.3) -> MetricsReport:
-    """Full MetricsReport for one (theta, t) point of the lattice."""
-    state = model.phase_locked(theta, t)
-    dx_spread, dp_spread = uncertainties(state)
-    action = dx_spread * dp_spread
-    fringes = fringe_amplitude(state.density, state.x, model.params.r0)
-    lobes = None
-    if with_lobes:
-        w = wigner_transform(state, p)
-        lobes = lobe_count(w, lobe_threshold)
-    return MetricsReport(
-        theta=float(state.theta), t=float(t), dx=dx_spread, dp=dp_spread,
-        action=action, tile_area=1.0 / action, fringe_amplitude=fringes,
-        lobe_count=lobes,
-    )

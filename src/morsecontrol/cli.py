@@ -21,17 +21,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analysis import (
-    carpet,
-    compute_metrics,
-    fringe_amplitude,
-    sensitivity_scan,
-    tile_area,
-    uncertainties,
-)
+from .analysis import carpet, fringe_amplitude, sensitivity_scan, tile_area, uncertainties
 from .config import (RunConfig, apply_environment, apply_overrides, config_times,
                      parse_config, validate_config)
-from .errors import ConfigError, RangeAliasingError, SpacingAliasingError
+from .errors import ConfigError, RangeAliasingError, SpacingAliasingError, TruncationError
 from .gridfile import GridFile, write_grid
 from .morse import MorseParams, characteristic_times, eigenfunction_with_capture, eigenstate
 from .wavepacket import WavePacketModel, split_even_odd, su2_coefficients
@@ -257,16 +250,18 @@ def cmd_metrics(ws: _Workspace, out: _Outputs) -> None:
     lines = ws.provenance()
     lines.append("theta,t_frac,t,dx,dp,action,tile_area,fringe_amplitude,lobe_count")
     for theta, t, frac in _lattice(ws):
-        p = ws.momentum_grid(ws.model.phase_locked(theta, t))
-        report = compute_metrics(ws.model, theta, t, p=p, with_lobes=True,
-                                 lobe_threshold=ws.cfg.lobe_threshold)
+        state = ws.model.phase_locked(theta, t)
+        dx_spread, dp_spread = uncertainties(state)
+        action = dx_spread * dp_spread
+        fringes = fringe_amplitude(state.density, ws.x, ws.params.r0)
+        lobes = lobe_count(wigner_transform(state, ws.momentum_grid(state)),
+                           ws.cfg.lobe_threshold)
         lines.append(",".join([
-            ws.fmt(report.theta),
+            ws.fmt(state.theta),
             "" if frac is None else ws.fmt(frac),
-            ws.fmt(report.t),
-            ws.fmt(report.dx), ws.fmt(report.dp), ws.fmt(report.action),
-            ws.fmt(report.tile_area), ws.fmt(report.fringe_amplitude),
-            str(report.lobe_count),
+            ws.fmt(t),
+            ws.fmt(dx_spread), ws.fmt(dp_spread), ws.fmt(action),
+            ws.fmt(1.0 / action), ws.fmt(fringes), str(lobes),
         ]))
     out.write_text("metrics.csv", lines)
 
@@ -282,8 +277,16 @@ def cmd_sensitivity(ws: _Workspace, out: _Outputs) -> None:
     else:
         dx_spread, dp_spread = uncertainties(state)
         max_shift = dx_spread if cfg.direction == "position" else dp_spread
-    scan = sensitivity_scan(state, cfg.direction, max_shift, cfg.steps,
-                            p=ws.momentum_grid(state))
+    p = ws.momentum_grid(state)
+    try:
+        scan = sensitivity_scan(state, cfg.direction, max_shift, cfg.steps, p=p)
+    except TruncationError as exc:
+        raise ConfigError(
+            f"max_shift, x_min, x_max: {exc}; lower max_shift or widen x_min..x_max") from exc
+    except RangeAliasingError as exc:
+        raise ConfigError(
+            f"max_shift, p_max, auto_p: for a displaced state, {exc}; lower max_shift, "
+            "or set auto_p=false with a larger p_max") from exc
     lines = _state_header(ws, state.theta, t, frac)
     lines.append(f"# direction={cfg.direction} max_shift={ws.fmt(max_shift)}")
     lines.append("# first_zero=" + ("" if scan.first_zero is None else ws.fmt(scan.first_zero)))

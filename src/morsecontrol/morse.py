@@ -260,7 +260,8 @@ def evaluate_eigenfunction(params: MorseParams, m: int, x_grid: np.ndarray) -> n
 
 def eigenfunction_with_capture(params: MorseParams, m: int,
                                x_grid: np.ndarray) -> tuple[np.ndarray, float]:
-    """(evaluate_eigenfunction(...), norm_capture(...)) from one evaluation."""
+    """(evaluate_eigenfunction(...), fraction of the analytic norm of psi_m the
+    grid captures) from one evaluation; the fraction is 1 on an adequate grid."""
     _check_level(params, m)
     x = _check_grid(x_grid)
     psi = _analytic_eigenfunction(params, m, x)
@@ -274,18 +275,6 @@ def eigenfunction_with_capture(params: MorseParams, m: int,
             )
         )
     return psi / math.sqrt(captured), captured
-
-
-def norm_capture(params: MorseParams, m: int, x_grid: np.ndarray) -> float:
-    """Fraction of the analytic norm of psi_m the grid captures.
-
-    1 up to quadrature error on an adequate grid; below 1 - 1e-6 the
-    eigenfunction evaluation warns.
-    """
-    _check_level(params, m)
-    x = _check_grid(x_grid)
-    psi = _analytic_eigenfunction(params, m, x)
-    return float(np.trapezoid(psi * psi, x))
 
 
 def eigenfunction_table(params: MorseParams, n_levels: int, x_grid: np.ndarray) -> np.ndarray:

@@ -21,8 +21,6 @@ import numpy as np
 from .errors import DegenerateSplitError, GridError, InvalidParameterError
 from .morse import MorseParams, eigenfunction_table, energies, log_gamma
 
-NORM_TOL = 1e-12
-
 
 def su2_coefficients(alpha: float, n_max: int) -> "CoefficientSet":
     """Binomial coherent-ladder amplitudes sqrt(C(n_max, m)) * alpha**m / (1+alpha**2)**(n_max/2).
@@ -89,17 +87,13 @@ class StateGrid:
     """Complex wave-function samples on a uniform position grid.
 
     theta is the control phase (None for a bare parity packet), t the
-    evolution time in atomic units. params/coeffs record provenance and may
-    be None for synthetic states used in tests.
+    evolution time in atomic units.
     """
 
     x: np.ndarray
     psi: np.ndarray
     theta: float | None
     t: float
-    params: MorseParams | None = None
-    coeffs: CoefficientSet | None = None
-    parity: str | None = None
 
     def __post_init__(self) -> None:
         if self.x.ndim != 1 or self.x.size != self.psi.size:
@@ -176,10 +170,7 @@ class WavePacketModel:
         if parity not in self._parity_vectors:
             raise InvalidParameterError(f"parity must be 'even' or 'odd', got {parity!r}")
         psi = self._expand(self._parity_vectors[parity], t)
-        return StateGrid(
-            x=self.x, psi=psi, theta=None, t=t,
-            params=self.params, coeffs=self.coeffs, parity=parity,
-        )
+        return StateGrid(x=self.x, psi=psi, theta=None, t=t)
 
     def phase_locked(self, theta: float, t: float) -> StateGrid:
         """Coherent mix of the parity packets at control phase theta.
@@ -191,9 +182,7 @@ class WavePacketModel:
         b = 0.5 * (1.0 + np.exp(1j * th))
         weights = a * self._parity_vectors["even"] + b * self._parity_vectors["odd"]
         psi = self._expand(weights, t)
-        return StateGrid(
-            x=self.x, psi=psi, theta=th, t=t, params=self.params, coeffs=self.coeffs,
-        )
+        return StateGrid(x=self.x, psi=psi, theta=th, t=t)
 
     def density(self, theta: float, t: float) -> np.ndarray:
         """|state(theta, t)|^2 on the position grid."""

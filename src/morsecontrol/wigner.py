@@ -69,11 +69,10 @@ def spectral_moments(state: StateGrid) -> tuple[float, float]:
     return mean, math.sqrt(max(second - mean * mean, 0.0))
 
 
-def auto_momentum_grid(state: StateGrid, n: int = DEFAULT_MOMENTUM_POINTS,
-                       span: float = MOMENTUM_SPAN_FACTOR) -> np.ndarray:
-    """Symmetric uniform momentum grid reaching span*sqrt(<p^2>) of the state."""
+def auto_momentum_grid(state: StateGrid, n: int = DEFAULT_MOMENTUM_POINTS) -> np.ndarray:
+    """Symmetric uniform momentum grid reaching MOMENTUM_SPAN_FACTOR*sqrt(<p^2>)."""
     mean, sigma = spectral_moments(state)
-    p_max = span * math.sqrt(sigma * sigma + mean * mean)
+    p_max = MOMENTUM_SPAN_FACTOR * math.sqrt(sigma * sigma + mean * mean)
     return np.linspace(-p_max, p_max, n)
 
 
@@ -236,6 +235,7 @@ def _coarse_grain(w: WignerGrid) -> tuple[np.ndarray, float, float]:
         raise GridError("coarse-grained distribution has no positive region")
     pos = positive.sum(axis=1)
     mom = positive.sum(axis=0)
+    del positive  # free it before the smoothing allocates its own W-sized arrays
 
     def _std(axis: np.ndarray, weight: np.ndarray) -> float:
         total = float(weight.sum())
@@ -267,7 +267,7 @@ def lobe_count(w: WignerGrid, threshold_fraction: float = 0.3) -> int:
             f"threshold_fraction must be in (0, 1), got {threshold_fraction}"
         )
     smooth, cell_x, cell_p = _coarse_grain(w)
-    amp = np.sqrt(np.clip(smooth, 0.0, None))
+    amp = np.sqrt(np.clip(smooth, 0.0, None, out=smooth), out=smooth)
     top = float(amp.max())
     if top <= 0.0:
         raise GridError("coarse-grained distribution has no positive region")

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from morsecontrol import RunConfig, parse_config, read_grid
+from morsecontrol import (I2, RunConfig, auto_momentum_grid, characteristic_times,
+                          fringe_amplitude, lobe_count, parse_config, read_grid,
+                          uncertainties, wigner_transform)
 from morsecontrol.cli import main
 from morsecontrol.config import apply_overrides, config_times, parse_angle, parse_fraction
 from morsecontrol.errors import ConfigError
@@ -220,6 +222,27 @@ def test_metrics_command(tmp_path):
     assert int(cat[8]) == 2  # the split packet is a two-lobe cat
 
 
+def test_metrics_rows_match_the_primitives(tmp_path, model):
+    # every field of every row, at 17 digits, against the library computed here
+    assert run_cli([
+        "metrics", "--outdir", str(tmp_path),
+        "--set", "theta=0,pi/2", "--set", "t_frac=1/8",
+    ]) == 0
+    rows = [l.split(",") for l in (tmp_path / "metrics.csv").read_text().splitlines()
+            if l and not l.startswith("#")][1:]
+    t = 0.125 * characteristic_times(I2)[1]
+    expected = []
+    for theta in (0.0, math.pi / 2):
+        state = model.phase_locked(theta, t)
+        dx_spread, dp_spread = uncertainties(state)
+        action = dx_spread * dp_spread
+        fringes = fringe_amplitude(state.density, state.x, I2.r0)
+        lobes = lobe_count(wigner_transform(state, auto_momentum_grid(state)), 0.3)
+        values = (state.theta, 0.125, t, dx_spread, dp_spread, action, 1.0 / action, fringes)
+        expected.append([format(v, ".17g") for v in values] + [str(lobes)])
+    assert rows == expected
+
+
 def test_sensitivity_command(tmp_path):
     assert run_cli([
         "sensitivity", "--outdir", str(tmp_path),
@@ -379,6 +402,25 @@ def test_coarse_position_grid_names_its_keys(tmp_path, capsys, command):
     phase_step = float(err.split("2*p_max*dx = ")[1].split()[0])
     assert phase_step > math.pi
     assert f"exceeds pi = {math.pi:.4g}" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("settings, keys", [
+    # a position shift that carries norm past x_max
+    (["max_shift=0.3"], "max_shift, x_min, x_max: shift 0.2381 pushes"),
+    # a momentum shift that carries the displaced state past the automatic grid
+    (["direction=momentum", "max_shift=600"],
+     "max_shift, p_max, auto_p: for a displaced state, momentum grid reaches"),
+], ids=["position", "momentum"])
+def test_sensitivity_scan_failures_name_their_keys(tmp_path, capsys, settings, keys):
+    args = ["sensitivity", "--outdir", str(tmp_path),
+            "--set", "theta=pi/2", "--set", "t_frac=1/8"]
+    for setting in settings:
+        args += ["--set", setting]
+    assert run_cli(args) == 1
+    err = capsys.readouterr().err
+    assert f"error: {keys}" in err
+    assert "set auto_p=true" not in err
     assert list(tmp_path.iterdir()) == []
 
 

@@ -21,7 +21,7 @@ from morsecontrol import (
 )
 from morsecontrol.errors import GridError, InvalidParameterError, TruncationWarning
 from morsecontrol.config import RunConfig
-from morsecontrol.morse import eigenfunction_with_capture, log_gamma, norm_capture
+from morsecontrol.morse import eigenfunction_with_capture, log_gamma
 
 
 def test_depth_parameter_unit_case():
@@ -138,14 +138,13 @@ def test_truncation_warning_on_narrow_grid():
 
 
 def test_norm_capture_adequate_grid(x_grid):
-    assert norm_capture(I2, 23, x_grid) == pytest.approx(1.0, abs=1e-8)
+    assert eigenfunction_with_capture(I2, 23, x_grid)[1] == pytest.approx(1.0, abs=1e-8)
 
 
 def test_eigenfunction_with_capture_matches_separate_calls(x_grid):
     for m in (0, 11, 23):
-        psi, capture = eigenfunction_with_capture(I2, m, x_grid)
+        psi, _ = eigenfunction_with_capture(I2, m, x_grid)
         assert np.array_equal(psi, evaluate_eigenfunction(I2, m, x_grid))
-        assert capture == norm_capture(I2, m, x_grid)
 
 
 def test_small_grid_rejected():
