@@ -18,9 +18,12 @@ as-is), so read(write(g)) reproduces g bit for bit.
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 
@@ -64,58 +67,65 @@ def file_size(dims: tuple[int, ...], meta: dict[str, str]) -> int:
 
 
 def write_grid(path: str | Path, grid: GridFile) -> None:
+    """Write ``grid`` section by section; float arrays go out from their own buffers.
+
+    Arrays already contiguous float64 are not copied, and every conversion
+    happens before the file is opened.
+    """
     dims = tuple(int(a.size) for a in grid.axes)
-    blob = bytearray()
-    blob += MAGIC
-    blob += ENDIAN_FLAG
-    blob += struct.pack("<I", len(dims))
-    for d in dims:
-        blob += struct.pack("<Q", d)
-    for axis in grid.axes:
-        blob += np.ascontiguousarray(axis, dtype="<f8").tobytes()
-    blob += np.ascontiguousarray(grid.payload, dtype="<f8").tobytes()
+    floats = [np.ascontiguousarray(a, dtype="<f8") for a in (*grid.axes, grid.payload)]
     meta = _meta_bytes(grid.meta)
-    blob += struct.pack("<Q", len(meta))
-    blob += meta
-    Path(path).write_bytes(bytes(blob))
+    with open(path, "wb") as f:
+        f.write(MAGIC + ENDIAN_FLAG + struct.pack(f"<I{len(dims)}Q", len(dims), *dims))
+        for values in floats:
+            f.write(values.data)
+        f.write(struct.pack("<Q", len(meta)) + meta)
 
 
 class _Reader:
-    def __init__(self, data: bytes):
-        self.data = data
+    """Reads a file front to back, refusing any section that runs past its end."""
+
+    def __init__(self, f: BinaryIO):
+        self.f = f
+        self.size = os.fstat(f.fileno()).st_size
         self.pos = 0
 
-    def take(self, n: int, what: str) -> bytes:
-        if self.pos + n > len(self.data):
+    def _advance(self, n: int, what: str) -> None:
+        if self.pos + n > self.size:
             raise FormatError(f"truncated file while reading {what}")
-        chunk = self.data[self.pos:self.pos + n]
         self.pos += n
-        return chunk
+
+    def take(self, n: int, what: str) -> bytes:
+        self._advance(n, what)
+        return self.f.read(n)
+
+    def floats(self, dims: tuple[int, ...], what: str) -> np.ndarray:
+        """The next prod(dims) float64 values, read straight into their array."""
+        self._advance(8 * math.prod(dims), what)
+        out = np.empty(dims, dtype="<f8")
+        self.f.readinto(out.data)
+        return out
 
 
 def read_grid(path: str | Path) -> GridFile:
-    reader = _Reader(Path(path).read_bytes())
-    if reader.take(len(MAGIC), "magic") != MAGIC:
-        raise FormatError(f"bad magic; not a {MAGIC.decode()} grid file")
-    if reader.take(1, "endianness flag") != ENDIAN_FLAG:
-        raise FormatError("unsupported endianness flag")
-    rank = struct.unpack("<I", reader.take(4, "rank"))[0]
-    if not 1 <= rank <= MAX_RANK:
-        raise FormatError(f"rank {rank} out of range 1..{MAX_RANK}")
-    dims = tuple(
-        struct.unpack("<Q", reader.take(8, f"dims[{i}]"))[0] for i in range(rank)
-    )
-    axes = tuple(
-        np.frombuffer(reader.take(8 * d, f"axis {i}"), dtype="<f8").copy()
-        for i, d in enumerate(dims)
-    )
-    count = int(np.prod(dims, dtype=np.int64))
-    payload = np.frombuffer(reader.take(8 * count, "payload"), dtype="<f8").copy()
-    payload = payload.reshape(dims)
-    meta_len = struct.unpack("<Q", reader.take(8, "metadata length"))[0]
-    meta_raw = reader.take(meta_len, "metadata")
-    if reader.pos != len(reader.data):
-        raise FormatError(f"{len(reader.data) - reader.pos} trailing bytes after metadata")
+    with open(path, "rb") as f:
+        reader = _Reader(f)
+        if reader.take(len(MAGIC), "magic") != MAGIC:
+            raise FormatError(f"bad magic; not a {MAGIC.decode()} grid file")
+        if reader.take(1, "endianness flag") != ENDIAN_FLAG:
+            raise FormatError("unsupported endianness flag")
+        rank = struct.unpack("<I", reader.take(4, "rank"))[0]
+        if not 1 <= rank <= MAX_RANK:
+            raise FormatError(f"rank {rank} out of range 1..{MAX_RANK}")
+        dims = tuple(
+            struct.unpack("<Q", reader.take(8, f"dims[{i}]"))[0] for i in range(rank)
+        )
+        axes = tuple(reader.floats((d,), f"axis {i}") for i, d in enumerate(dims))
+        payload = reader.floats(dims, "payload")
+        meta_len = struct.unpack("<Q", reader.take(8, "metadata length"))[0]
+        meta_raw = reader.take(meta_len, "metadata")
+    if reader.pos != reader.size:
+        raise FormatError(f"{reader.size - reader.pos} trailing bytes after metadata")
     try:
         meta = json.loads(meta_raw.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:

@@ -7,6 +7,10 @@ conjugate (hbar = 1), so that the marginals, the normalization
 integral(W) = 1 and the purity 2*pi*integral(W^2) = 1 all hold without extra
 scale factors. The x' quadrature is a Riemann sum limited to the state's
 support, summed in a fixed order so results are reproducible bit for bit.
+
+Each row's lag product is Hermitian in the lag, so its transform is real;
+one chirp-z call therefore carries two rows, one in the real part of its
+input and the other in the imaginary part.
 """
 
 from __future__ import annotations
@@ -26,8 +30,8 @@ MOMENTUM_SPAN_FACTOR = 5.0
 #: Reject momentum grids that do not reach this many spectral widths.
 MOMENTUM_COVERAGE_FACTOR = 3.0
 SUPPORT_CUTOFF = 1e-12
-#: Rows per chirp-z call; larger blocks were slower, the transform being
-#: memory-bound, and the rows stay bit-identical either way.
+#: Row pairs per chirp-z call; larger blocks were slower, the transform
+#: being memory-bound, and the rows stay bit-identical either way.
 ROW_BLOCK = 8
 
 
@@ -118,7 +122,11 @@ def check_momentum_grid(state: StateGrid, p: np.ndarray) -> np.ndarray:
 def wigner_transform(state: StateGrid, p: np.ndarray | None = None) -> WignerGrid:
     """Wigner distribution of ``state`` on (state.x) x (p).
 
-    The x' sum runs as one chirp-z transform per block of ROW_BLOCK rows.
+    The x' sum runs as one chirp-z transform per block of ROW_BLOCK row
+    pairs. The lag product of row i is Hermitian, corr[-k] = conj(corr[k]),
+    so its transform is real up to rounding: rows 2k and 2k+1 go in as
+    corr[2k] + 1j*corr[2k+1] and come out as the real and imaginary parts
+    of one transform. An odd last row goes in alone.
     """
     if p is None:
         p = auto_momentum_grid(state)
@@ -139,13 +147,18 @@ def wigner_transform(state: StateGrid, p: np.ndarray | None = None) -> WignerGri
         a=complex(np.exp(2j * p[0] * dx)),
     )
     tail_phase = np.exp(-2j * offsets[0] * p)
+    scale = dx / math.pi
     windows = sliding_window_view(padded, 2 * half + 1)
-    rows = []
-    for i in range(0, nx, ROW_BLOCK):
-        seg = windows[i:i + ROW_BLOCK]
+    values = np.empty((nx, p.size))
+    for i in range(0, nx, 2 * ROW_BLOCK):
+        seg = windows[i:i + 2 * ROW_BLOCK]
         corr = np.conj(seg[:, ::-1]) * seg
-        rows.append(np.real(tail_phase * transform(corr)) * (dx / math.pi))
-    values = np.vstack(rows)
+        packed, odd = corr[0::2], corr[1::2]
+        packed[:len(odd)] += 1j * odd
+        pairs = tail_phase * transform(packed)
+        rows = values[i:i + len(seg)]
+        np.multiply(pairs.real, scale, out=rows[0::2])
+        np.multiply(pairs.imag[:len(odd)], scale, out=rows[1::2])
     norm = float(values.sum() * dx * dp)
     return WignerGrid(x=state.x, p=p, values=values, theta=state.theta,
                       t=state.t, norm_captured=norm)
@@ -199,7 +212,9 @@ def _smooth_rows(values: np.ndarray, sigma: float) -> np.ndarray:
     kernel = np.exp(-0.5 / (sigma * sigma) * (k * k))
     kernel /= kernel.sum()
     n = values.shape[1]
-    nfft = next_fast_len(n + 2 * radius)
+    # the kept outputs [radius, radius + n) of the linear convolution are
+    # free of wrap-around for any nfft >= n + radius
+    nfft = next_fast_len(n + radius)
     response = np.fft.rfft(kernel, nfft)
     out = np.empty(values.shape)
     for i in range(0, values.shape[0], SMOOTH_BLOCK):

@@ -40,8 +40,12 @@ def test_czt_rejects_wrong_length():
         CZT(n=8, m=4, w=1j, a=1.0)(np.ones(7))
 
 
-def _per_row_wigner(state, p):
-    """The row-by-row scipy.signal.CZT evaluation the blocked transform replaced."""
+def _per_pair_wigner(state, p):
+    """The pair-by-pair scipy.signal.CZT evaluation the blocked transform must match.
+
+    Rows 2k and 2k+1 go in as corr[2k] + 1j*corr[2k+1] and come out as the
+    real and imaginary parts; an odd last row goes in alone.
+    """
     psi = state.psi.astype(np.complex128)
     nx, dx = psi.size, state.dx
     half = _support_halfwidth(psi)
@@ -52,21 +56,28 @@ def _per_row_wigner(state, p):
     transform = ScipyCZT(n=offsets.size, m=p.size, w=complex(np.exp(-2j * dp * dx)),
                          a=complex(np.exp(2j * p[0] * dx)))
     tail_phase = np.exp(-2j * offsets[0] * p)
-    rows = []
-    for i in range(nx):
+
+    def lag_product(i):
         seg = padded[i:i + 2 * half + 1]
-        corr = np.conj(seg[::-1]) * seg
-        rows.append(np.real(tail_phase * transform(corr)) * (dx / math.pi))
+        return np.conj(seg[::-1]) * seg
+
+    rows = []
+    for i in range(0, nx - 1, 2):
+        both = tail_phase * transform(lag_product(i) + 1j * lag_product(i + 1))
+        rows += [np.real(both) * (dx / math.pi), np.imag(both) * (dx / math.pi)]
+    if nx % 2:
+        rows.append(np.real(tail_phase * transform(lag_product(nx - 1))) * (dx / math.pi))
     return np.vstack(rows)
 
 
 def test_blocked_wigner_equals_per_row_result():
     x = np.linspace(-8.0, 8.0, 203)
-    assert x.size % ROW_BLOCK != 0  # the last block is partial
+    assert x.size % (2 * ROW_BLOCK) != 0  # the last block is partial
+    assert x.size % 2 == 1  # and the last row has no partner
     psi = (np.exp(-((x - 2.5) ** 2) / 1.96) + 0.6j * np.exp(-((x + 2.0) ** 2) / 1.96 + 1.3j * x))
     psi /= math.sqrt(float(np.trapezoid(np.abs(psi) ** 2, x)))
     state = StateGrid(x=x, psi=psi, theta=None, t=0.0)
     p = np.linspace(-5.0, 5.0, 96)
     w = wigner_transform(state, p)
     assert w.values.shape == (203, 96)
-    assert np.array_equal(w.values, _per_row_wigner(state, p))
+    assert np.array_equal(w.values, _per_pair_wigner(state, p))

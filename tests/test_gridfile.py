@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -112,6 +114,34 @@ def test_ten_randomized_roundtrips_bit_exact(tmp_path):
         for a, b in zip(axes, back.axes):
             assert b.tobytes() == a.tobytes()
         assert back.meta == meta
+
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture
+def desk_grid():
+    rng = np.random.default_rng(7)
+    return GridFile(axes=(np.linspace(-0.25, 0.45, 2048), np.linspace(-300.0, 300.0, 512)),
+                    payload=rng.standard_normal((2048, 512)), meta={"theta": "0.5"})
+
+
+def test_write_streams_the_payload_without_a_copy(tmp_path, desk_grid):
+    peak = _traced_peak(lambda: write_grid(tmp_path / "w.wgrd", desk_grid))
+    assert peak <= 0.5 * desk_grid.payload.nbytes
+
+
+def test_read_fills_the_payload_array_once(tmp_path, desk_grid):
+    path = tmp_path / "r.wgrd"
+    write_grid(path, desk_grid)
+    peak = _traced_peak(lambda: read_grid(path))
+    assert peak <= 1.5 * desk_grid.payload.nbytes
 
 
 @settings(max_examples=40, deadline=None)

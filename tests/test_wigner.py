@@ -1,7 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.ndimage import gaussian_filter
 
 from morsecontrol import (
@@ -16,6 +18,7 @@ from morsecontrol import (
     wigner_transform,
 )
 from morsecontrol import wigner
+from morsecontrol.czt import CZT
 from morsecontrol.errors import AliasingError, GridError, InvalidParameterError
 
 
@@ -55,6 +58,49 @@ def test_fast_path_matches_direct_quadrature(smoke_x, direct_wigner):
     p = np.linspace(-5.0, 5.0, 128)
     w_fft = wigner_transform(state, p)
     assert np.abs(w_fft.values - direct_wigner(state, p)).max() < 1e-8
+
+
+def test_single_row_transforms_are_real(classification_states):
+    # the premise of row pairing: each row's lag product is Hermitian in the
+    # lag, so its chirp-z transform, phase-corrected, has no imaginary part
+    state = classification_states["compass T/8"][0]
+    p = auto_momentum_grid(state)
+    psi, dx, dp = state.psi.astype(np.complex128), state.dx, float(p[1] - p[0])
+    half = wigner._support_halfwidth(psi)
+    padded = np.zeros(psi.size + 2 * half, dtype=np.complex128)
+    padded[half:half + psi.size] = psi
+    transform = CZT(n=2 * half + 1, m=p.size, w=complex(np.exp(-2j * dp * dx)),
+                    a=complex(np.exp(2j * p[0] * dx)))
+    tail_phase = np.exp(2j * half * dx * p)  # exp(-2i * offsets[0] * p)
+    windows = sliding_window_view(padded, 2 * half + 1)
+    worst_imag = worst_real = 0.0
+    for i in range(0, psi.size, 64):
+        seg = windows[i:i + 64]
+        rows = tail_phase * transform(np.conj(seg[:, ::-1]) * seg) * (dx / math.pi)
+        worst_imag = max(worst_imag, float(np.abs(rows.imag).max()))
+        worst_real = max(worst_real, float(np.abs(rows.real).max()))
+    assert worst_imag <= 1e-10 * worst_real
+
+
+@pytest.mark.parametrize("label", ["compass T/8", "eightfold T/16 pi/2"])
+def test_paired_rows_match_direct_quadrature(label, classification_wigner,
+                                             classification_states, direct_wigner):
+    w = classification_wigner[label]
+    oracle = direct_wigner(classification_states[label][0], w.p)
+    assert np.abs(w.values - oracle).max() <= 1e-10 * np.abs(oracle).max()
+
+
+def test_transform_peak_memory_stays_near_the_output(classification_states):
+    # the rows are written into one preallocated grid, not stacked from blocks
+    state = classification_states["compass T/8"][0]
+    p = auto_momentum_grid(state)
+    tracemalloc.start()
+    try:
+        w = wigner_transform(state, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * w.values.nbytes
 
 
 def test_normalization_and_purity(smoke_x):
