@@ -3,7 +3,8 @@
 Every command reads one RunConfig (defaults, then --config file, then --set
 overrides, then the MORSECONTROL_WORKERS environment variable), computes pure
 results, and serializes them with fixed formatting so identical
-configurations produce byte-identical files. Files are written under
+configurations produce byte-identical files; CSV lines go to disk as they are
+formatted. Files are written under
 temporary names and moved into place only when the whole command succeeds,
 so a failed or interrupted run leaves the output directory as it was; exit
 codes are 0 (ok), 1 (bad input), 2 (internal error).
@@ -16,6 +17,8 @@ import math
 import os
 import sys
 import traceback
+from collections.abc import Iterable
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -78,17 +81,27 @@ class _Workspace:
             raise ConfigError(
                 f"nx, x_min, x_max: {exc}; raise nx or narrow x_min..x_max") from exc
 
-    def fmt(self, value: float) -> str:
-        return format(value, self.spec)
+    def row(self, *values) -> str:
+        """One CSV line: strings as given, None as an empty field, numbers at ``spec``."""
+        return ",".join(v if isinstance(v, str) else "" if v is None else format(v, self.spec)
+                        for v in values)
 
-    def provenance(self) -> list[str]:
+    def header(self, *lines: str) -> list[str]:
+        """The provenance comment lines, then ``lines``."""
         return [
             f"# morsecontrol {__version__}",
             f"# depth_parameter={self.params.depth!r} bound_states={self.params.bound_state_count}",
             f"# classical_period_au={self.classical_period!r} revival_time_au={self.revival_time!r}",
             "# conventions: wigner_prefactor=1/pi overlap_factor=2pi "
             "tile_area=1/(dx*dp) momentum=conjugate-to-dimensionless-x",
+            *lines,
         ]
+
+
+def _write_lines(path: Path, lines: Iterable[str]) -> None:
+    """Write each of ``lines`` and a newline to ``path`` as it arrives."""
+    with open(path, "w", encoding="utf-8") as f:
+        f.writelines(line + "\n" for line in lines)
 
 
 class _Outputs:
@@ -113,8 +126,9 @@ class _Outputs:
         self.staged.append((tmp, self.dir / name))
         return tmp
 
-    def write_text(self, name: str, lines: list[str]) -> None:
-        self.path(name).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    def csv(self, name: str, lines: Iterable[str]) -> None:
+        """Stage ``name`` holding ``lines``, streamed as they are produced."""
+        _write_lines(self.path(name), lines)
 
     def remove(self, name: str) -> None:
         self.removed.append(self.dir / name)
@@ -135,13 +149,6 @@ class _Outputs:
         self.staged.clear()
 
 
-def _state_header(ws: _Workspace, theta: float, t: float, t_frac: float | None) -> list[str]:
-    lines = ws.provenance()
-    frac = "" if t_frac is None else f" t_frac={t_frac!r}"
-    lines.append(f"# theta={theta!r} t={t!r}{frac}")
-    return lines
-
-
 def _single_time(ws: _Workspace, command: str) -> tuple[float, float | None]:
     """(t, t_frac or None) of a command that runs at one time only."""
     if len(ws.times) > 1:
@@ -150,15 +157,35 @@ def _single_time(ws: _Workspace, command: str) -> tuple[float, float | None]:
     return ws.times[0], None if ws.time_fracs is None else ws.time_fracs[0]
 
 
+def _time_text(t: float, t_frac: float | None) -> str:
+    return f"t={t!r}" + ("" if t_frac is None else f" t_frac={t_frac!r}")
+
+
 def _grid_lines(ws: _Workspace, row_axis: np.ndarray, col_axis: np.ndarray,
                 values: np.ndarray):
-    """``row,column,value`` CSV lines of a 2-d grid in row-major order."""
+    """``row,column,value`` CSV lines of a 2-d grid in row-major order, one
+    block of text per grid row."""
     spec = ws.spec
-    col_text = [ws.fmt(c) for c in col_axis]
+    col_text = [format(c, spec) for c in col_axis]
     for r, row in zip(row_axis, values):
-        head = ws.fmt(r) + ","
-        for c_text, v in zip(col_text, row.tolist()):
-            yield f"{head}{c_text},{v:{spec}}"
+        head = format(r, spec) + ","
+        yield "\n".join([f"{head}{c},{v:{spec}}" for c, v in zip(col_text, row.tolist())])
+
+
+def _write_grid_files(ws: _Workspace, out: _Outputs, stem: str, axes: tuple[np.ndarray, ...],
+                      values: np.ndarray, t: float, t_frac: float | None,
+                      meta: dict[str, str], header: tuple[str, ...]) -> None:
+    """``stem``.wgrd and ``stem``.csv of one 2-d grid at time ``t``: ``meta``
+    joins the shared metadata keys and ``header`` follows the provenance."""
+    meta = {
+        "version": __version__,
+        "t": repr(float(t)),
+        "t_frac": "" if t_frac is None else repr(float(t_frac)),
+        "depth_parameter": repr(ws.params.depth),
+        **meta,
+    }
+    write_grid(out.path(f"{stem}.wgrd"), GridFile(axes=axes, payload=values, meta=meta))
+    out.csv(f"{stem}.csv", chain(ws.header(*header), _grid_lines(ws, *axes, values)))
 
 
 def _lattice(ws: _Workspace):
@@ -169,46 +196,24 @@ def _lattice(ws: _Workspace):
 
 
 def cmd_eigen(ws: _Workspace, out: _Outputs) -> None:
-    cfg = ws.cfg
-    lines = ws.provenance()
-    lines.append("m,energy,exponent,norm,capture")
-    for m in range(cfg.n_levels):
+    rows = []
+    for m in range(ws.cfg.n_levels):
         es = eigenstate(ws.params, m)
         psi, capture = eigenfunction_with_capture(ws.params, m, ws.x)
         norm = float(np.trapezoid(psi * psi, ws.x))
-        lines.append(",".join([
-            str(m), ws.fmt(es.energy), ws.fmt(es.exponent), ws.fmt(norm), ws.fmt(capture),
-        ]))
-    out.write_text("eigen.csv", lines)
+        rows.append(ws.row(m, es.energy, es.exponent, norm, capture))
+    out.csv("eigen.csv", ws.header("m,energy,exponent,norm,capture", *rows))
 
 
 def cmd_state(ws: _Workspace, out: _Outputs) -> None:
     for index, (theta, t, frac) in enumerate(_lattice(ws)):
         state = ws.model.phase_locked(theta, t)
-        density = state.density
-        lines = _state_header(ws, state.theta, t, frac)
-        lines.append("x,re,im,density")
-        for i, xi in enumerate(state.x):
-            amp = state.psi[i]
-            lines.append(",".join([
-                ws.fmt(xi), ws.fmt(amp.real), ws.fmt(amp.imag), ws.fmt(density[i]),
-            ]))
-        out.write_text(f"state_{index:03d}.csv", lines)
-
-
-def _wigner_meta(ws: _Workspace, w, lobes: int, t_frac: float | None) -> dict[str, str]:
-    return {
-        "version": __version__,
-        "theta": repr(float(w.theta)) if w.theta is not None else "",
-        "t": repr(float(w.t)),
-        "t_frac": "" if t_frac is None else repr(float(t_frac)),
-        "depth_parameter": repr(ws.params.depth),
-        "wigner_prefactor": "1/pi",
-        "overlap_factor": "2pi",
-        "norm_captured": repr(float(w.norm_captured)),
-        "lobe_count": str(lobes),
-        "lobe_threshold": repr(ws.cfg.lobe_threshold),
-    }
+        out.csv(f"state_{index:03d}.csv", ws.header(
+            f"# theta={state.theta!r} {_time_text(t, frac)}",
+            "x,re,im,density",
+            *(ws.row(x, amp.real, amp.imag, d)
+              for x, amp, d in zip(state.x, state.psi, state.density)),
+        ))
 
 
 def cmd_wigner(ws: _Workspace, out: _Outputs) -> None:
@@ -216,39 +221,30 @@ def cmd_wigner(ws: _Workspace, out: _Outputs) -> None:
         state = ws.model.phase_locked(theta, t)
         w = wigner_transform(state, ws.momentum_grid(state))
         lobes = lobe_count(w, ws.cfg.lobe_threshold)
-        write_grid(out.path(f"wigner_{index:03d}.wgrd"), GridFile(
-            axes=(w.x, w.p), payload=w.values, meta=_wigner_meta(ws, w, lobes, frac),
-        ))
-        lines = _state_header(ws, state.theta, t, frac)
-        lines.append(f"# lobe_count={lobes} norm_captured={ws.fmt(w.norm_captured)}")
-        lines.append("x,p,w")
-        lines.extend(_grid_lines(ws, w.x, w.p, w.values))
-        out.write_text(f"wigner_{index:03d}.csv", lines)
+        meta = {
+            "theta": repr(float(w.theta)),
+            "wigner_prefactor": "1/pi",
+            "overlap_factor": "2pi",
+            "norm_captured": repr(float(w.norm_captured)),
+            "lobe_count": str(lobes),
+            "lobe_threshold": repr(ws.cfg.lobe_threshold),
+        }
+        header = (f"# theta={state.theta!r} {_time_text(t, frac)}",
+                  f"# lobe_count={lobes} norm_captured={ws.row(w.norm_captured)}",
+                  "x,p,w")
+        _write_grid_files(ws, out, f"wigner_{index:03d}", (w.x, w.p), w.values, t, frac,
+                          meta, header)
 
 
 def cmd_carpet(ws: _Workspace, out: _Outputs) -> None:
     t, frac = _single_time(ws, "carpet")
     grid = carpet(ws.model, t, ws.cfg.theta_count)
-    meta = {
-        "version": __version__,
-        "t": repr(float(t)),
-        "t_frac": "" if frac is None else repr(float(frac)),
-        "depth_parameter": repr(ws.params.depth),
-        "axes": "theta,x",
-    }
-    write_grid(out.path("carpet.wgrd"), GridFile(
-        axes=(grid.theta, grid.x), payload=grid.density, meta=meta,
-    ))
-    lines = ws.provenance()
-    lines.append(f"# t={t!r}" + ("" if frac is None else f" t_frac={frac!r}"))
-    lines.append("theta,x,density")
-    lines.extend(_grid_lines(ws, grid.theta, grid.x, grid.density))
-    out.write_text("carpet.csv", lines)
+    _write_grid_files(ws, out, "carpet", (grid.theta, grid.x), grid.density, t, frac,
+                      {"axes": "theta,x"}, (f"# {_time_text(t, frac)}", "theta,x,density"))
 
 
 def cmd_metrics(ws: _Workspace, out: _Outputs) -> None:
-    lines = ws.provenance()
-    lines.append("theta,t_frac,t,dx,dp,action,tile_area,fringe_amplitude,lobe_count")
+    rows = []
     for theta, t, frac in _lattice(ws):
         state = ws.model.phase_locked(theta, t)
         dx_spread, dp_spread = uncertainties(state)
@@ -256,14 +252,10 @@ def cmd_metrics(ws: _Workspace, out: _Outputs) -> None:
         fringes = fringe_amplitude(state.density, ws.x, ws.params.r0)
         lobes = lobe_count(wigner_transform(state, ws.momentum_grid(state)),
                            ws.cfg.lobe_threshold)
-        lines.append(",".join([
-            ws.fmt(state.theta),
-            "" if frac is None else ws.fmt(frac),
-            ws.fmt(t),
-            ws.fmt(dx_spread), ws.fmt(dp_spread), ws.fmt(action),
-            ws.fmt(1.0 / action), ws.fmt(fringes), str(lobes),
-        ]))
-    out.write_text("metrics.csv", lines)
+        rows.append(ws.row(state.theta, frac, t, dx_spread, dp_spread, action,
+                           1.0 / action, fringes, lobes))
+    out.csv("metrics.csv", ws.header(
+        "theta,t_frac,t,dx,dp,action,tile_area,fringe_amplitude,lobe_count", *rows))
 
 
 def cmd_sensitivity(ws: _Workspace, out: _Outputs) -> None:
@@ -287,62 +279,52 @@ def cmd_sensitivity(ws: _Workspace, out: _Outputs) -> None:
         raise ConfigError(
             f"max_shift, p_max, auto_p: for a displaced state, {exc}; lower max_shift, "
             "or set auto_p=false with a larger p_max") from exc
-    lines = _state_header(ws, state.theta, t, frac)
-    lines.append(f"# direction={cfg.direction} max_shift={ws.fmt(max_shift)}")
-    lines.append("# first_zero=" + ("" if scan.first_zero is None else ws.fmt(scan.first_zero)))
-    lines.append("shift,overlap,wigner_overlap")
     cross = {int(i): v for i, v in zip(scan.wigner_indices, scan.wigner_overlaps)}
-    for k, (s, ov) in enumerate(zip(scan.shifts, scan.overlaps)):
-        extra = ws.fmt(cross[k]) if k in cross else ""
-        lines.append(",".join([ws.fmt(s), ws.fmt(ov), extra]))
-    out.write_text("sensitivity.csv", lines)
+    out.csv("sensitivity.csv", ws.header(
+        f"# theta={state.theta!r} {_time_text(t, frac)}",
+        f"# direction={cfg.direction} max_shift={ws.row(max_shift)}",
+        f"# first_zero={ws.row(scan.first_zero)}",
+        "shift,overlap,wigner_overlap",
+        *(ws.row(s, ov, cross.get(k))
+          for k, (s, ov) in enumerate(zip(scan.shifts, scan.overlaps))),
+    ))
 
 
 def cmd_table1(ws: _Workspace, out: _Outputs) -> None:
     t = ws.revival_time / 8.0
-    values = []
-    for theta in THETA_ROW:
-        density = ws.model.density(theta, t)
-        values.append(fringe_amplitude(density, ws.x, ws.params.r0))
-    lines = ws.provenance()
-    lines.append("# fringe amplitudes at t = T_rev/8, per atomic unit of r")
-    lines.append("theta," + ",".join(THETA_LABELS))
-    lines.append("A_m," + ",".join(ws.fmt(v) for v in values))
-    out.write_text("table1.csv", lines)
+    values = [fringe_amplitude(ws.model.density(theta, t), ws.x, ws.params.r0)
+              for theta in THETA_ROW]
+    out.csv("table1.csv", ws.header(
+        "# fringe amplitudes at t = T_rev/8, per atomic unit of r",
+        ws.row("theta", *THETA_LABELS),
+        ws.row("A_m", *values),
+    ))
 
 
 def cmd_table2(ws: _Workspace, out: _Outputs) -> None:
     rows = {}
     for label, frac in (("T_rev/8", 0.125), ("T_rev/16", 0.0625)):
-        row = []
-        for theta in THETA_ROW:
-            state = ws.model.phase_locked(theta, frac * ws.revival_time)
-            row.append(tile_area(state))
-        rows[label] = row
-    lines = ws.provenance()
-    lines.append("# inverse action 1/(dx*dp) over the control phase at two times")
-    lines.append("theta," + ",".join(THETA_LABELS))
-    lines.append("T_rev/8," + ",".join(ws.fmt(v) for v in rows["T_rev/8"]))
-    lines.append("T_rev/16," + ",".join(ws.fmt(v) for v in rows["T_rev/16"]))
-    out.write_text("table2.csv", lines)
+        rows[label] = [tile_area(ws.model.phase_locked(theta, frac * ws.revival_time))
+                       for theta in THETA_ROW]
+    out.csv("table2.csv", ws.header(
+        "# inverse action 1/(dx*dp) over the control phase at two times",
+        ws.row("theta", *THETA_LABELS),
+        *(ws.row(label, *row) for label, row in rows.items()),
+    ))
 
     deviations = []
     for theta, frac, label, reference in TABLE2_REFERENCES:
         row = rows["T_rev/8"] if frac == 0.125 else rows["T_rev/16"]
         value = row[THETA_ROW.index(theta)]
         if abs(value - reference) > TABLE2_TOLERANCE * reference:
-            deviations.append((label, theta, frac, value, reference))
+            deviations.append(ws.row(label, theta, frac, value, value * ws.params.r0, reference))
     if deviations:
-        report = ws.provenance()
-        report.append("# tile areas deviate more than 15% from the reference values;")
-        report.append("# both momentum-scaling conventions are recorded rather than rescaling silently")
-        report.append("label,theta,t_frac,tile_area_x_conjugate,tile_area_r_scaled,reference")
-        for label, theta, frac, value, reference in deviations:
-            report.append(",".join([
-                label, ws.fmt(theta), ws.fmt(frac),
-                ws.fmt(value), ws.fmt(value * ws.params.r0), ws.fmt(reference),
-            ]))
-        out.write_text("table2_convention_report.csv", report)
+        out.csv("table2_convention_report.csv", ws.header(
+            "# tile areas deviate more than 15% from the reference values;",
+            "# both momentum-scaling conventions are recorded rather than rescaling silently",
+            "label,theta,t_frac,tile_area_x_conjugate,tile_area_r_scaled,reference",
+            *deviations,
+        ))
     else:
         out.remove("table2_convention_report.csv")
 

@@ -1,9 +1,9 @@
 """Run configuration: key=value files with defaults for the iodine molecule.
 
 Lines are UTF-8 ``key=value`` pairs; ``#`` starts a comment. Unknown keys,
-unparsable values and violated invariants raise ConfigError naming the key
-and line. Angles accept ``pi`` expressions ("pi/8", "3pi/4", "2pi"); time
-fractions accept "a/b".
+unparsable or non-finite values (nan, inf) and violated invariants raise
+ConfigError naming the key and line. Angles accept ``pi`` expressions
+("pi/8", "3pi/4", "2pi"); time fractions accept "a/b".
 """
 
 from __future__ import annotations
@@ -176,6 +176,9 @@ def _assign(cfg: RunConfig, key: str, raw: str, where: str) -> RunConfig:
         value = _PARSERS[key](raw)
     except ValueError as exc:
         raise ConfigError(f"{where}: {key}: cannot parse {raw!r} ({exc})") from exc
+    if any(isinstance(v, float) and not math.isfinite(v)
+           for v in (value if isinstance(value, tuple) else (value,))):
+        raise ConfigError(f"{where}: {key}: must be finite, got {raw!r}")
     if key == "t_frac":
         cfg = replace(cfg, t_au=None)
     elif key == "t_au":
@@ -183,9 +186,9 @@ def _assign(cfg: RunConfig, key: str, raw: str, where: str) -> RunConfig:
     return replace(cfg, **{key: value})
 
 
-def parse_config(text: str, base: RunConfig | None = None) -> RunConfig:
+def parse_config(text: str) -> RunConfig:
     """RunConfig from key=value text, applied on top of the defaults."""
-    cfg = base if base is not None else RunConfig()
+    cfg = RunConfig()
     seen: set[str] = set()
     for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()

@@ -278,10 +278,7 @@ def eigenfunction_with_capture(params: MorseParams, m: int,
 
 
 def eigenfunction_table(params: MorseParams, n_levels: int, x_grid: np.ndarray) -> np.ndarray:
-    """Stacked eigenfunctions, shape (n_levels, len(x_grid)).
-
-    Rows may be shared read-only between threads; nothing here mutates them.
-    """
+    """Stacked eigenfunctions, shape (n_levels, len(x_grid))."""
     if n_levels < 1 or n_levels > params.bound_state_count:
         raise InvalidParameterError(
             f"n_levels={n_levels} exceeds the {params.bound_state_count} bound states"

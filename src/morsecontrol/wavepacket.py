@@ -133,8 +133,7 @@ class WavePacketModel:
     """Eigenbasis expansion engine for the phase-locked packet family.
 
     Precomputes the eigenfunction table and level energies once; every state
-    is then a single coefficient contraction, which keeps all operations pure
-    and safe to call from many threads.
+    is then a single coefficient contraction.
     """
 
     def __init__(self, params: MorseParams, coeffs: CoefficientSet, x_grid: np.ndarray):

@@ -1,4 +1,6 @@
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +8,7 @@ import pytest
 from morsecontrol import (I2, RunConfig, auto_momentum_grid, characteristic_times,
                           fringe_amplitude, lobe_count, parse_config, read_grid,
                           uncertainties, wigner_transform)
-from morsecontrol.cli import main
+from morsecontrol.cli import COMMANDS, main
 from morsecontrol.config import apply_overrides, config_times, parse_angle, parse_fraction
 from morsecontrol.errors import ConfigError
 
@@ -447,7 +449,7 @@ def test_failing_rerun_keeps_previous_files(tmp_path, capsys):
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
-@pytest.mark.parametrize("target", ["morsecontrol.cli.write_grid", "pathlib.Path.write_text"])
+@pytest.mark.parametrize("target", ["morsecontrol.cli.write_grid", "morsecontrol.cli._write_lines"])
 def test_interrupt_mid_write_leaves_no_file(tmp_path, monkeypatch, target):
     def interrupted(path, *args, **kwargs):
         with open(path, "wb") as fh:
@@ -457,4 +459,59 @@ def test_interrupt_mid_write_leaves_no_file(tmp_path, monkeypatch, target):
     monkeypatch.setattr(target, interrupted)
     with pytest.raises(KeyboardInterrupt):
         run_cli(["wigner", "--outdir", str(tmp_path), "--set", "theta=pi/2"] + BASE)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_wigner_command_peak_memory_stays_near_the_grid(tmp_path):
+    # the CSV goes to disk one grid row at a time; its text is never held whole
+    args = ["wigner", "--set", "nx=1024", "--set", "np=256",
+            "--set", "theta=pi/2", "--set", "t_frac=1/8"]
+    assert run_cli(args + ["--outdir", str(tmp_path / "warm")]) == 0
+    tracemalloc.start()
+    try:
+        assert run_cli(args + ["--outdir", str(tmp_path / "traced")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * 1024 * 256 * 8
+
+
+def _tokens(line):
+    return re.split(r"[ =]", line) if line.startswith("#") else line.split(",")
+
+
+def test_compact_format_rounds_each_full_token(tmp_path):
+    settings = ["--set", "theta=3pi/8", "--set", "t_frac=1/8", "--set", "steps=32"] + BASE
+    for fmt in ("full", "compact"):
+        for command in COMMANDS:
+            outdir = str(tmp_path / fmt)
+            assert run_cli([command, "--outdir", outdir, "--set", f"format={fmt}"] + settings) == 0
+    names = sorted(p.name for p in (tmp_path / "full").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "compact").iterdir())
+    for name in names:
+        full, compact = (tmp_path / "full" / name), (tmp_path / "compact" / name)
+        if name.endswith(".wgrd"):
+            assert full.read_bytes() == compact.read_bytes()
+            continue
+        full_lines, compact_lines = full.read_text().splitlines(), compact.read_text().splitlines()
+        assert len(full_lines) == len(compact_lines), name
+        for full_line, compact_line in zip(full_lines, compact_lines):
+            full_tokens, compact_tokens = _tokens(full_line), _tokens(compact_line)
+            assert len(full_tokens) == len(compact_tokens), (name, full_line)
+            for f, c in zip(full_tokens, compact_tokens):
+                assert c == f or c == format(float(f), ".9g"), (name, f, c)
+
+
+@pytest.mark.parametrize("command, setting, key", [
+    ("state", "alpha=nan", "alpha"),
+    ("state", "theta=nan", "theta"),
+    ("state", "t_frac=nan", "t_frac"),
+    ("state", "t_au=inf", "t_au"),
+    ("sensitivity", "max_shift=nan", "max_shift"),
+    ("state", "D=inf", "D"),
+    ("state", "x_max=inf", "x_max"),
+])
+def test_non_finite_settings_rejected(tmp_path, capsys, command, setting, key):
+    assert run_cli([command, "--outdir", str(tmp_path), "--set", setting] + BASE) == 1
+    assert f"error: --set {key}: {key}: must be finite" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
