@@ -3,9 +3,9 @@
 
     python scripts/output_digest.py [--set KEY=VALUE ...]
 
-Runs each command of ``morsecontrol.cli`` in this process with the given
-``--set`` pairs, once with ``format=full`` and once with ``format=compact``,
-into a temporary directory. Prints one ``exit CODE  FORMAT/COMMAND`` line per
+Runs each command of ``morsecontrol.cli`` from this checkout's ``src/`` (no
+install needed) in this process with the given ``--set`` pairs, once with
+``format=full`` and once with ``format=compact``, into a temporary directory. Prints one ``exit CODE  FORMAT/COMMAND`` line per
 run and one ``SHA256  FORMAT/FILE`` line per file written, so two checkouts
 compare by diffing this output. A command that rejects the configuration
 (for example a list of times for ``carpet``) shows up as its exit code, and
@@ -14,8 +14,11 @@ its message goes to stderr.
 
 import argparse
 import hashlib
+import sys
 import tempfile
 from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from morsecontrol.cli import COMMANDS, main
 

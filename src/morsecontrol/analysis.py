@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .czt import CZT
 from .errors import InvalidParameterError, TruncationError
@@ -81,16 +82,17 @@ def momentum_density(state: StateGrid, p: np.ndarray) -> np.ndarray:
     return np.abs(spectrum) ** 2
 
 
-def _alternating_extrema(values: np.ndarray, floor: float) -> list[int]:
+def _alternating_extrema(values: list[float], floor: float) -> list[int]:
     """Indices of alternating extrema, committed only after a reversal > floor.
 
     The hysteresis keeps float-level jitter on smooth stretches from counting
-    as oscillation.
+    as oscillation. ``values`` is a list of Python floats: the comparisons are
+    the same IEEE ones as on float64, without a numpy scalar per step.
     """
     extrema: list[int] = []
     candidate = 0
     direction = 0  # +1 climbing, -1 descending
-    for i in range(1, values.size):
+    for i in range(1, len(values)):
         if direction >= 0:
             if values[i] > values[candidate]:
                 candidate = i
@@ -146,19 +148,20 @@ def fringe_amplitude(density: np.ndarray, x_grid: np.ndarray, r0: float) -> floa
     residual = density - background
 
     spread = float(residual.max() - residual.min())
-    extrema = _alternating_extrema(residual, FRINGE_NOISE_REL * spread)
+    extrema = np.array(_alternating_extrema(residual.tolist(), FRINGE_NOISE_REL * spread),
+                       dtype=np.intp)
     best = 0.0
     n_swings = FRINGE_MIN_EXTREMA - 1
-    for k in range(len(extrema) - n_swings):
-        run = extrema[k:k + FRINGE_MIN_EXTREMA]
-        if x[run[-1]] - x[run[0]] > FRINGE_CLUSTER_WIDTH:
-            continue
-        swings = [abs(residual[run[s]] - residual[run[s + 1]]) for s in range(n_swings)]
-        if min(swings) < FRINGE_SWING_BALANCE * max(swings):
-            continue
-        if max(swings) < FRINGE_MIN_PROMINENCE * spread:
-            continue
-        best = max(best, max(swings))
+    if extrema.size > n_swings:
+        # Run k is extrema[k:k + FRINGE_MIN_EXTREMA]; its swings are row k of
+        # the sliding windows over the swings between neighbouring extrema.
+        swings = sliding_window_view(np.abs(np.diff(residual[extrema])), n_swings)
+        hi = swings.max(axis=1)
+        qualifies = ((x[extrema[n_swings:]] - x[extrema[:-n_swings]] <= FRINGE_CLUSTER_WIDTH)
+                     & (swings.min(axis=1) >= FRINGE_SWING_BALANCE * hi)
+                     & (hi >= FRINGE_MIN_PROMINENCE * spread))
+        if qualifies.any():
+            best = float(hi[qualifies].max())
     return 0.5 * best / r0
 
 
@@ -167,7 +170,9 @@ def carpet(model: WavePacketModel, t: float, theta_count: int) -> CarpetGrid:
     if theta_count < 9:
         raise InvalidParameterError(f"theta_count must be >= 9, got {theta_count}")
     thetas = np.linspace(0.0, 2.0 * math.pi, theta_count)
-    density = np.vstack([model.density(th, t) for th in thetas])
+    density = np.empty((theta_count, model.x.size))
+    for row, th in zip(density, thetas):
+        row[:] = model.density(th, t)
     return CarpetGrid(x=model.x, theta=thetas, density=density)
 
 

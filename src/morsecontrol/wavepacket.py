@@ -101,7 +101,10 @@ class StateGrid:
         steps = np.diff(self.x)
         if self.x.size < 2 or not np.all(steps > 0):
             raise GridError("grid must be strictly increasing")
-        if not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
+        # Increasing, so finite if both ends are.
+        if not (math.isfinite(self.x[0]) and math.isfinite(self.x[-1])):
+            raise GridError("grid must be finite")
+        if not np.all(np.abs(steps - steps[0]) <= 1e-9 * steps[0]):
             raise GridError("grid must be uniformly spaced")
 
     @property
@@ -133,7 +136,8 @@ class WavePacketModel:
     """Eigenbasis expansion engine for the phase-locked packet family.
 
     Precomputes the eigenfunction table and level energies once; every state
-    is then a single coefficient contraction.
+    is then a single coefficient contraction. The table is stored as
+    complex128, so that contraction does not cast it on every call.
     """
 
     def __init__(self, params: MorseParams, coeffs: CoefficientSet, x_grid: np.ndarray):
@@ -147,7 +151,7 @@ class WavePacketModel:
         self.params = params
         self.coeffs = coeffs
         self.x = np.asarray(x_grid, dtype=float)
-        self.table = eigenfunction_table(params, n_levels, self.x)
+        self.table = eigenfunction_table(params, n_levels, self.x).astype(np.complex128)
         self.energies = energies(params, n_levels)
         even_vec = np.zeros(n_levels)
         even_vec[0::2] = coeffs.even_amplitudes
@@ -171,21 +175,24 @@ class WavePacketModel:
         psi = self._expand(self._parity_vectors[parity], t)
         return StateGrid(x=self.x, psi=psi, theta=None, t=t)
 
+    def _phase_weights(self, theta: float) -> tuple[float, np.ndarray]:
+        """theta reduced mod 2*pi, and the level weights of the mix at it."""
+        th = float(theta) % (2.0 * math.pi)
+        a = 0.5 * (1.0 - np.exp(1j * th))
+        b = 0.5 * (1.0 + np.exp(1j * th))
+        return th, a * self._parity_vectors["even"] + b * self._parity_vectors["odd"]
+
     def phase_locked(self, theta: float, t: float) -> StateGrid:
         """Coherent mix of the parity packets at control phase theta.
 
         theta is reduced mod 2*pi; the analytic norm is exactly 1.
         """
-        th = float(theta) % (2.0 * math.pi)
-        a = 0.5 * (1.0 - np.exp(1j * th))
-        b = 0.5 * (1.0 + np.exp(1j * th))
-        weights = a * self._parity_vectors["even"] + b * self._parity_vectors["odd"]
-        psi = self._expand(weights, t)
-        return StateGrid(x=self.x, psi=psi, theta=th, t=t)
+        th, weights = self._phase_weights(theta)
+        return StateGrid(x=self.x, psi=self._expand(weights, t), theta=th, t=t)
 
     def density(self, theta: float, t: float) -> np.ndarray:
-        """|state(theta, t)|^2 on the position grid."""
-        return self.phase_locked(theta, t).density
+        """|state(theta, t)|^2 on the position grid, without building the state."""
+        return np.abs(self._expand(self._phase_weights(theta)[1], t)) ** 2
 
     def density_decomposition(self, theta: float, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Even, odd and cross contributions whose pointwise sum is the density.

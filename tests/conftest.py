@@ -5,6 +5,10 @@ import pytest
 
 from morsecontrol import (I2, WavePacketModel, characteristic_times, split_even_odd,
                           su2_coefficients, wigner_transform)
+from morsecontrol.analysis import (FRINGE_CLUSTER_WIDTH, FRINGE_MIN_EXTREMA,
+                                   FRINGE_MIN_PROMINENCE, FRINGE_NOISE_REL,
+                                   FRINGE_SWING_BALANCE, FRINGE_WINDOW_FACTOR,
+                                   FRINGE_WINDOW_FLOOR)
 from morsecontrol.wigner import _support_halfwidth
 
 DEFAULT_NX = 2048
@@ -77,3 +81,70 @@ def _direct_wigner(state, p):
 @pytest.fixture(scope="session")
 def direct_wigner():
     return _direct_wigner
+
+
+def _loop_fringe_amplitude(density, x, r0):
+    """Fringe amplitude by the element-by-element loops on float64 values.
+
+    The same background, hysteresis and run tests as ``fringe_amplitude``,
+    written as one loop over the residual and one over the windows of
+    FRINGE_MIN_EXTREMA extrema: the oracle for the list scan and the
+    vectorised run scoring.
+    """
+    density = np.asarray(density, dtype=float)
+    x = np.asarray(x, dtype=float)
+    dx = float(x[1] - x[0])
+    interior = density[1:-1]
+    is_max = (interior > density[:-2]) & (interior > density[2:]) & (
+        interior > 1e-12 * density.max()
+    )
+    maxima = np.flatnonzero(is_max) + 1
+    if maxima.size >= 2:
+        window = max(FRINGE_WINDOW_FACTOR * float(np.median(np.diff(x[maxima]))),
+                     FRINGE_WINDOW_FLOOR)
+    else:
+        window = FRINGE_WINDOW_FLOOR
+    half = min(max(int(round(0.5 * window / dx)), 1), density.size - 1)
+    padded = np.concatenate([density[half:0:-1], density, density[-2:-half - 2:-1]])
+    kernel = np.full(2 * half + 1, 1.0 / (2 * half + 1))
+    residual = density - np.convolve(padded, kernel, mode="valid")
+
+    spread = float(residual.max() - residual.min())
+    floor = FRINGE_NOISE_REL * spread
+    extrema = []
+    candidate = 0
+    direction = 0
+    for i in range(1, residual.size):
+        if direction >= 0:
+            if residual[i] > residual[candidate]:
+                candidate = i
+            elif residual[candidate] - residual[i] > floor:
+                extrema.append(candidate)
+                candidate = i
+                direction = -1
+        if direction <= 0:
+            if residual[i] < residual[candidate]:
+                candidate = i
+            elif residual[i] - residual[candidate] > floor:
+                extrema.append(candidate)
+                candidate = i
+                direction = 1
+
+    best = 0.0
+    n_swings = FRINGE_MIN_EXTREMA - 1
+    for k in range(len(extrema) - n_swings):
+        run = extrema[k:k + FRINGE_MIN_EXTREMA]
+        if x[run[-1]] - x[run[0]] > FRINGE_CLUSTER_WIDTH:
+            continue
+        swings = [abs(residual[run[s]] - residual[run[s + 1]]) for s in range(n_swings)]
+        if min(swings) < FRINGE_SWING_BALANCE * max(swings):
+            continue
+        if max(swings) < FRINGE_MIN_PROMINENCE * spread:
+            continue
+        best = max(best, max(swings))
+    return 0.5 * best / r0
+
+
+@pytest.fixture(scope="session")
+def loop_fringe_amplitude():
+    return _loop_fringe_amplitude

@@ -214,6 +214,33 @@ def test_carpet_rows_pairwise_identity(model, times):
         assert np.abs(grid.density[i] + grid.density[i + 4] - parity_sum).max() < 1e-10
 
 
+def test_carpet_rows_equal_phase_locked_densities(model, times):
+    _, t_rev = times
+    for t in (0.0, t_rev / 8, 0.21 * t_rev):
+        grid = carpet(model, t, theta_count=33)
+        for theta, row in zip(grid.theta, grid.density):
+            assert np.array_equal(row, model.phase_locked(theta, t).density)
+
+
+def test_fringe_amplitude_matches_loop_oracle(model, times, loop_fringe_amplitude):
+    from morsecontrol import I2
+
+    _, t_rev = times
+    rng = np.random.default_rng(11)
+    thetas = 2.0 * math.pi * (np.arange(8) + rng.random(8)) / 8
+    t_fracs = 0.25 * (np.arange(4) + rng.random(4)) / 4
+    lattice = [(theta, frac * t_rev) for theta in thetas for frac in (0.0, *t_fracs)]
+    table1_row = [(k * math.pi / 8, t_rev / 8) for k in range(9)]
+    values = []
+    for theta, t in lattice + table1_row:
+        density = model.density(theta, t)
+        value = fringe_amplitude(density, model.x, I2.r0)
+        assert type(value) is float
+        assert value == loop_fringe_amplitude(density, model.x, I2.r0)
+        values.append(value)
+    assert 0.0 in values and any(v > 0.0 for v in values)
+
+
 def test_carpet_t0_rows_have_no_fringes(model):
     from morsecontrol import I2
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -249,6 +250,32 @@ def test_state_grid_validation():
     warped = x**2
     with pytest.raises(GridError):
         StateGrid(x=warped, psi=np.zeros(64, complex), theta=None, t=0.0)
+    for infinite in ([0.0, np.inf], [-np.inf, 0.0, np.inf], [0.0, 1.0, np.inf],
+                     [-np.inf, 0.0], [-np.inf, np.inf]):
+        with pytest.raises(GridError):
+            StateGrid(x=np.array(infinite), psi=np.zeros(len(infinite), complex),
+                      theta=None, t=0.0)
+
+
+def test_density_equals_state_density(model, times):
+    _, t_rev = times
+    for theta in (0.0, 0.3, math.pi, 5.0, -1.0, 7.0):
+        for t in (0.0, t_rev / 16, 0.37 * t_rev):
+            assert np.array_equal(model.density(theta, t), model.phase_locked(theta, t).density)
+
+
+def test_phase_locked_does_not_copy_table(model, times):
+    # The table is complex already, so the expansion allocates about psi
+    # and its weights, not a complex copy of the table.
+    _, t_rev = times
+    model.phase_locked(0.4, t_rev / 8)
+    tracemalloc.start()
+    try:
+        model.phase_locked(0.4, t_rev / 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < model.table.nbytes
 
 
 def test_subsidiary_unknown_parity(model):
