@@ -54,6 +54,8 @@ def uncertainties(state: StateGrid) -> tuple[float, float]:
     """
     rho = state.density
     norm = float(np.trapezoid(rho, state.x))
+    if norm == 0.0:
+        raise InvalidParameterError("state has zero norm")
     mean_x = float(np.trapezoid(state.x * rho, state.x)) / norm
     second_x = float(np.trapezoid(state.x * state.x * rho, state.x)) / norm
     dx_spread = math.sqrt(max(second_x - mean_x * mean_x, 0.0))
@@ -82,31 +84,55 @@ def momentum_density(state: StateGrid, p: np.ndarray) -> np.ndarray:
     return np.abs(spectrum) ** 2
 
 
-def _alternating_extrema(values: list[float], floor: float) -> list[int]:
+def _alternating_extrema(values: np.ndarray, floor: float) -> list[int]:
     """Indices of alternating extrema, committed only after a reversal > floor.
 
     The hysteresis keeps float-level jitter on smooth stretches from counting
-    as oscillation. ``values`` is a list of Python floats: the comparisons are
-    the same IEEE ones as on float64, without a numpy scalar per step.
+    as oscillation. ``values`` is a 1-d float64 array of finite values and
+    ``floor >= 0``; the result equals that of one scan over every sample
+    (``tests/conftest.py``), which holds a candidate extremum and commits it
+    when the values reverse from it by more than ``floor``.
+
+    Start phase: until the first commit the candidate follows every sample,
+    staying on the first of equal values, and a rise never commits. So the
+    first extremum is always a maximum: the first index of the equal-value
+    run that ends where the first single-step drop ``> floor`` begins. A
+    leading minimum is never reported; that rule stays so that no output
+    moves.
+
+    After it, the scan visits only the direction turns (the first index of
+    each plateau between steps of opposite sign) and the last sample. That
+    is exact: between two turns the values are monotone and end strictly
+    beyond every sample in between, so a candidate that moves or a commit
+    that fires on such a sample would also happen at the turn that ends the
+    stretch, with the same committed index and the same state after it.
     """
-    extrema: list[int] = []
-    candidate = 0
-    direction = 0  # +1 climbing, -1 descending
-    for i in range(1, len(values)):
-        if direction >= 0:
-            if values[i] > values[candidate]:
-                candidate = i
-            elif values[candidate] - values[i] > floor:
+    drops = np.flatnonzero(values[:-1] - values[1:] > floor)
+    if not drops.size:
+        return []
+    start = int(drops[0]) + 1
+    step = np.diff(values)
+    moves = np.flatnonzero(step)
+    rising = step[moves] > 0
+    turns = moves[:-1][rising[:-1] != rising[1:]] + 1
+    # The first maximum opens the equal-value run that ends at start - 1.
+    before = int(np.searchsorted(moves, start - 1))
+    extrema = [int(moves[before - 1]) + 1 if before else 0]
+
+    points = np.append(turns[turns > start], values.size - 1)
+    candidate, held, falling = start, float(values[start]), True
+    for i, value in zip(points.tolist(), values[points].tolist()):
+        if falling:
+            if value < held:
+                candidate, held = i, value
+            elif value - held > floor:
                 extrema.append(candidate)
-                candidate = i
-                direction = -1
-        if direction <= 0:
-            if values[i] < values[candidate]:
-                candidate = i
-            elif values[i] - values[candidate] > floor:
-                extrema.append(candidate)
-                candidate = i
-                direction = 1
+                candidate, held, falling = i, value, False
+        elif value > held:
+            candidate, held = i, value
+        elif held - value > floor:
+            extrema.append(candidate)
+            candidate, held, falling = i, value, True
     return extrema
 
 
@@ -125,7 +151,12 @@ def fringe_amplitude(density: np.ndarray, x_grid: np.ndarray, r0: float) -> floa
     """
     density = np.asarray(density, dtype=float)
     x = np.asarray(x_grid, dtype=float)
+    if density.shape != x.shape:
+        raise InvalidParameterError(
+            f"density has {density.size} samples but x_grid has {x.size}")
     total = float(np.trapezoid(density, x))
+    if not math.isfinite(total):
+        raise InvalidParameterError(f"density integral in x is {total}, not finite")
     if abs(total - 1.0) > 1e-3:
         raise InvalidParameterError(f"density must be normalized in x, integral is {total:.6g}")
     dx = float(x[1] - x[0])
@@ -136,8 +167,10 @@ def fringe_amplitude(density: np.ndarray, x_grid: np.ndarray, r0: float) -> floa
     )
     maxima = np.flatnonzero(is_max) + 1
     if maxima.size >= 2:
-        window = max(FRINGE_WINDOW_FACTOR * float(np.median(np.diff(x[maxima]))),
-                     FRINGE_WINDOW_FLOOR)
+        gaps = sorted(np.diff(x[maxima]).tolist())
+        mid = len(gaps) // 2
+        median = gaps[mid] if len(gaps) % 2 else (gaps[mid - 1] + gaps[mid]) / 2
+        window = max(FRINGE_WINDOW_FACTOR * median, FRINGE_WINDOW_FLOOR)
     else:
         window = FRINGE_WINDOW_FLOOR
     half = max(int(round(0.5 * window / dx)), 1)
@@ -148,8 +181,7 @@ def fringe_amplitude(density: np.ndarray, x_grid: np.ndarray, r0: float) -> floa
     residual = density - background
 
     spread = float(residual.max() - residual.min())
-    extrema = np.array(_alternating_extrema(residual.tolist(), FRINGE_NOISE_REL * spread),
-                       dtype=np.intp)
+    extrema = np.array(_alternating_extrema(residual, FRINGE_NOISE_REL * spread), dtype=np.intp)
     best = 0.0
     n_swings = FRINGE_MIN_EXTREMA - 1
     if extrema.size > n_swings:

@@ -68,6 +68,8 @@ def spectral_moments(state: StateGrid) -> tuple[float, float]:
     p_bins = 2.0 * math.pi * np.fft.fftfreq(n, d=dx)
     dp = 2.0 * math.pi / (n * dx)
     total = float(np.sum(spectrum) * dp)
+    if total == 0.0:
+        raise InvalidParameterError("state has zero norm")
     mean = float(np.sum(p_bins * spectrum) * dp) / total
     second = float(np.sum(p_bins * p_bins * spectrum) * dp) / total
     return mean, math.sqrt(max(second - mean * mean, 0.0))

@@ -83,13 +83,46 @@ def direct_wigner():
     return _direct_wigner
 
 
+def _loop_alternating_extrema(values, floor):
+    """Hysteresis extrema by one loop over every sample.
+
+    The oracle for ``analysis._alternating_extrema``, which visits only the
+    start of the scan, the direction turns and the last sample.
+    """
+    extrema = []
+    candidate = 0
+    direction = 0  # +1 climbing, -1 descending
+    for i in range(1, len(values)):
+        if direction >= 0:
+            if values[i] > values[candidate]:
+                candidate = i
+            elif values[candidate] - values[i] > floor:
+                extrema.append(candidate)
+                candidate = i
+                direction = -1
+        if direction <= 0:
+            if values[i] < values[candidate]:
+                candidate = i
+            elif values[i] - values[candidate] > floor:
+                extrema.append(candidate)
+                candidate = i
+                direction = 1
+    return extrema
+
+
+@pytest.fixture(scope="session")
+def loop_alternating_extrema():
+    return _loop_alternating_extrema
+
+
 def _loop_fringe_amplitude(density, x, r0):
     """Fringe amplitude by the element-by-element loops on float64 values.
 
     The same background, hysteresis and run tests as ``fringe_amplitude``,
-    written as one loop over the residual and one over the windows of
-    FRINGE_MIN_EXTREMA extrema: the oracle for the list scan and the
-    vectorised run scoring.
+    written as one loop over the residual (``_loop_alternating_extrema``) and
+    one over the windows of FRINGE_MIN_EXTREMA extrema, with ``np.median``
+    for the spacing of the maxima: the oracle for the turn scan, the list
+    median and the vectorised run scoring.
     """
     density = np.asarray(density, dtype=float)
     x = np.asarray(x, dtype=float)
@@ -110,25 +143,7 @@ def _loop_fringe_amplitude(density, x, r0):
     residual = density - np.convolve(padded, kernel, mode="valid")
 
     spread = float(residual.max() - residual.min())
-    floor = FRINGE_NOISE_REL * spread
-    extrema = []
-    candidate = 0
-    direction = 0
-    for i in range(1, residual.size):
-        if direction >= 0:
-            if residual[i] > residual[candidate]:
-                candidate = i
-            elif residual[candidate] - residual[i] > floor:
-                extrema.append(candidate)
-                candidate = i
-                direction = -1
-        if direction <= 0:
-            if residual[i] < residual[candidate]:
-                candidate = i
-            elif residual[i] - residual[candidate] > floor:
-                extrema.append(candidate)
-                candidate = i
-                direction = 1
+    extrema = _loop_alternating_extrema(residual, FRINGE_NOISE_REL * spread)
 
     best = 0.0
     n_swings = FRINGE_MIN_EXTREMA - 1

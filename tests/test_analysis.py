@@ -7,16 +7,19 @@ from hypothesis import strategies as st
 
 from morsecontrol import (
     StateGrid,
+    auto_momentum_grid,
     carpet,
     displaced_state,
     fringe_amplitude,
     marginals,
     momentum_density,
     sensitivity_scan,
+    spectral_moments,
     tile_area,
     uncertainties,
     wigner_transform,
 )
+from morsecontrol.analysis import _alternating_extrema
 from morsecontrol.errors import InvalidParameterError, TruncationError
 
 
@@ -95,6 +98,47 @@ def test_fringe_amplitude_modulated_density():
 def test_fringe_amplitude_rejects_unnormalized(toy_x):
     with pytest.raises(InvalidParameterError, match="normalized"):
         fringe_amplitude(np.exp(-(toy_x**2)), toy_x, 1.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_fringe_amplitude_rejects_non_finite(toy_x, bad):
+    density = np.exp(-(toy_x**2))
+    density /= np.trapezoid(density, toy_x)
+    density[512] = bad
+    with pytest.raises(InvalidParameterError, match="not finite"):
+        fringe_amplitude(density, toy_x, 1.0)
+
+
+def test_fringe_amplitude_rejects_mismatched_lengths(toy_x):
+    density = np.exp(-(toy_x**2))
+    density /= np.trapezoid(density, toy_x)
+    with pytest.raises(InvalidParameterError, match="1024 samples but x_grid has 1023"):
+        fringe_amplitude(density, toy_x[:-1], 1.0)
+
+
+@pytest.mark.parametrize("entry", [uncertainties, tile_area, spectral_moments, auto_momentum_grid])
+def test_zero_state_rejected(toy_x, entry):
+    state = StateGrid(x=toy_x, psi=np.zeros(toy_x.size, dtype=complex), theta=None, t=0.0)
+    with pytest.raises(InvalidParameterError, match="state has zero norm"):
+        entry(state)
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(st.integers(0, 4).map(float), min_size=2, max_size=64),
+       floor=st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.5]))
+def test_alternating_extrema_matches_loop(values, floor, loop_alternating_extrema):
+    assert _alternating_extrema(np.array(values), floor) == loop_alternating_extrema(values, floor)
+
+
+@pytest.mark.parametrize("values, floor, expected", [
+    ([0.0, 1.0, 2.0, 1.5, 3.0], 0.5, []),  # no drop above the floor
+    ([3.0, 0.0, 2.0, 2.0, 0.0, 1.0], 1.0, [0, 1, 2]),  # first drop at index 0
+    ([2.0, 0.0, 1.0, 4.0, 4.0, 4.0], 0.5, [0, 1]),  # trailing plateau
+    ([1.0, 1.0, 1.0, 1.0], 0.0, []),  # all values equal
+])
+def test_alternating_extrema_fixed_cases(values, floor, expected, loop_alternating_extrema):
+    assert loop_alternating_extrema(values, floor) == expected
+    assert _alternating_extrema(np.array(values), floor) == expected
 
 
 def test_fringe_amplitude_per_r_scaling():
@@ -227,8 +271,8 @@ def test_fringe_amplitude_matches_loop_oracle(model, times, loop_fringe_amplitud
 
     _, t_rev = times
     rng = np.random.default_rng(11)
-    thetas = 2.0 * math.pi * (np.arange(8) + rng.random(8)) / 8
-    t_fracs = 0.25 * (np.arange(4) + rng.random(4)) / 4
+    thetas = 2.0 * math.pi * (np.arange(27) + rng.random(27)) / 27
+    t_fracs = 0.25 * (np.arange(14) + rng.random(14)) / 14
     lattice = [(theta, frac * t_rev) for theta in thetas for frac in (0.0, *t_fracs)]
     table1_row = [(k * math.pi / 8, t_rev / 8) for k in range(9)]
     values = []
