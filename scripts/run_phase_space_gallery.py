@@ -2,37 +2,21 @@
 """Phase-space snapshot gallery: the cat, compass and eight-fold states.
 
 Computes the Wigner distribution of the phase-locked packet at the six
-(theta, time) points that span the structure zoo, writes one .wgrd grid per
-snapshot and prints a summary line with the lobe counts and tile metrics.
+states of ``morsecontrol.PAPER_STATES``, writes one .wgrd grid per state and
+prints a summary line with the lobe counts and tile metrics. A file is
+named after its state's label, spaces as underscores and other punctuation
+dropped: ``compass T/8`` writes ``compass_T8.wgrd``.
 """
 
 import argparse
 import math
+import re
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from morsecontrol import (
-    I2,
-    WavePacketModel,
-    characteristic_times,
-    lobe_count,
-    split_even_odd,
-    su2_coefficients,
-    tile_area,
-    wigner_transform,
-)
+from morsecontrol import (PAPER_STATES, RunConfig, build_model, characteristic_times,
+                          lobe_count, tile_area, wigner_transform)
 from morsecontrol.gridfile import GridFile, write_grid
-
-SNAPSHOTS = [
-    ("cat_t0", math.pi / 4, 0.0),
-    ("compass_T8", math.pi / 2, 0.125),
-    ("diagonal_compass_T16", 0.0, 0.0625),
-    ("plain_compass_T16", math.pi, 0.0625),
-    ("eightfold_T16_quarter", math.pi / 4, 0.0625),
-    ("eightfold_T16_half", math.pi / 2, 0.0625),
-]
 
 
 def main() -> int:
@@ -44,13 +28,13 @@ def main() -> int:
 
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    model = WavePacketModel(I2, split_even_odd(su2_coefficients(2.0, 23)),
-                            np.linspace(-0.25, 0.45, args.nx))
-    _, t_rev = characteristic_times(I2)
+    model = build_model(RunConfig(nx=args.nx))
+    _, t_rev = characteristic_times(model.params)
 
     print(f"{'snapshot':28s} {'theta':>8s} {'t/T_rev':>8s} {'lobes':>5s} "
           f"{'min W':>9s} {'tile area':>9s}")
-    for name, theta, frac in SNAPSHOTS:
+    for label, theta, frac, _ in PAPER_STATES:
+        name = re.sub(r"\W", "", label.replace(" ", "_"))
         state = model.phase_locked(theta, frac * t_rev)
         w = wigner_transform(state)
         lobes = lobe_count(w)

@@ -25,12 +25,12 @@ import numpy as np
 
 from . import __version__
 from .analysis import carpet, fringe_amplitude, sensitivity_scan, tile_area, uncertainties
-from .config import (RunConfig, apply_environment, apply_overrides, config_times,
-                     parse_config, validate_config)
+from .config import (RunConfig, apply_environment, apply_overrides, build_model,
+                     config_times, parse_config, validate_config)
 from .errors import ConfigError, RangeAliasingError, SpacingAliasingError, TruncationError
 from .gridfile import GridFile, write_grid
 from .morse import MorseParams, characteristic_times, eigenfunction_with_capture, eigenstate
-from .wavepacket import WavePacketModel, split_even_odd, su2_coefficients
+from .wavepacket import WavePacketModel
 from .wigner import auto_momentum_grid, check_momentum_grid, lobe_count, wigner_transform
 
 THETA_LABELS = ("0", "pi/8", "pi/4", "3pi/8", "pi/2", "5pi/8", "3pi/4", "7pi/8", "pi")
@@ -61,8 +61,7 @@ class _Workspace:
     @property
     def model(self) -> WavePacketModel:
         if self._model is None:
-            coeffs = split_even_odd(su2_coefficients(self.cfg.alpha, self.cfg.n_levels - 1))
-            self._model = WavePacketModel(self.params, coeffs, self.x)
+            self._model = build_model(self.cfg)
         return self._model
 
     def momentum_grid(self, state) -> np.ndarray:

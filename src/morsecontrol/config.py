@@ -13,8 +13,11 @@ import re
 from collections.abc import Mapping
 from dataclasses import dataclass, fields, replace
 
+import numpy as np
+
 from .errors import ConfigError
-from .morse import MorseParams
+from .morse import I2, MorseParams
+from .wavepacket import WavePacketModel, split_even_odd, su2_coefficients
 
 _PI_TOKEN = re.compile(
     r"^(?P<sign>[+-]?)(?P<coef>\d+\.?\d*|\.\d+)?\s*pi\s*(?:/\s*(?P<div>\d+\.?\d*|\.\d+))?$"
@@ -68,10 +71,10 @@ def _parse_float_list(token: str, item_parser) -> tuple[float, ...]:
 class RunConfig:
     """Scenario inputs: molecule, ladder, grids, control phases and times."""
 
-    beta: float = 4.954
-    mu: float = 1.156e5
-    r0: float = 5.03
-    D: float = 0.057
+    beta: float = I2.beta
+    mu: float = I2.mu
+    r0: float = I2.r0
+    D: float = I2.D
     alpha: float = 2.0
     n_levels: int = 24
     x_min: float = -0.25
@@ -227,6 +230,13 @@ def apply_environment(cfg: RunConfig, environ: Mapping[str, str]) -> RunConfig:
     if raw is None:
         return cfg
     return validate_config(_assign(cfg, "workers", raw, WORKERS_ENV_VAR), WORKERS_ENV_VAR)
+
+
+def build_model(cfg: RunConfig) -> WavePacketModel:
+    """The packet model of ``cfg``: its well, its split ladder and its position grid."""
+    return WavePacketModel(MorseParams(beta=cfg.beta, mu=cfg.mu, r0=cfg.r0, D=cfg.D),
+                           split_even_odd(su2_coefficients(cfg.alpha, cfg.n_levels - 1)),
+                           np.linspace(cfg.x_min, cfg.x_max, cfg.nx))
 
 
 def config_times(cfg: RunConfig, revival_time: float) -> tuple[tuple[float, ...], tuple[float, ...] | None]:

@@ -132,6 +132,20 @@ def phase_circle_coeffs(theta: float) -> tuple[float, float, float]:
     )
 
 
+#: The paper's six snapshots, (label, theta, t_frac, copies): the cat at t = 0,
+#: the compass states at T_rev/8 and T_rev/16 and the two eight-fold states at
+#: T_rev/16. ``copies`` counts the fractional-revival copies of the packet
+#: (Averbukh & Perelman, Phys. Lett. A 139, 449 (1989)).
+PAPER_STATES = (
+    ("cat t=0", math.pi / 4, 0.0, 2),
+    ("compass T/8", math.pi / 2, 0.125, 4),
+    ("diagonal compass T/16", 0.0, 0.0625, 4),
+    ("plain compass T/16", math.pi, 0.0625, 4),
+    ("eightfold T/16 pi/4", math.pi / 4, 0.0625, 8),
+    ("eightfold T/16 pi/2", math.pi / 2, 0.0625, 8),
+)
+
+
 class WavePacketModel:
     """Eigenbasis expansion engine for the phase-locked packet family.
 

@@ -3,52 +3,36 @@ import math
 import numpy as np
 import pytest
 
-from morsecontrol import (I2, WavePacketModel, characteristic_times, split_even_odd,
-                          su2_coefficients, wigner_transform)
+from morsecontrol import (I2, PAPER_STATES, RunConfig, build_model, characteristic_times,
+                          wigner_transform)
 from morsecontrol.analysis import (FRINGE_CLUSTER_WIDTH, FRINGE_MIN_EXTREMA,
                                    FRINGE_MIN_PROMINENCE, FRINGE_NOISE_REL,
                                    FRINGE_SWING_BALANCE, FRINGE_WINDOW_FACTOR,
                                    FRINGE_WINDOW_FLOOR)
 from morsecontrol.wigner import _support_halfwidth
 
-DEFAULT_NX = 2048
+
+@pytest.fixture(scope="session")
+def model():
+    return build_model(RunConfig())
 
 
 @pytest.fixture(scope="session")
-def x_grid():
-    return np.linspace(-0.25, 0.45, DEFAULT_NX)
-
-
-@pytest.fixture(scope="session")
-def coeffs():
-    return split_even_odd(su2_coefficients(2.0, 23))
-
-
-@pytest.fixture(scope="session")
-def model(x_grid, coeffs):
-    return WavePacketModel(I2, coeffs, x_grid)
+def x_grid(model):
+    return model.x
 
 
 @pytest.fixture(scope="session")
 def times():
-    t_cl, t_rev = characteristic_times(I2)
-    return t_cl, t_rev
+    return characteristic_times(I2)
 
 
 @pytest.fixture(scope="session")
 def classification_states(model, times):
-    """The six acceptance states, label -> (state, expected lobe count)."""
+    """The six paper states, label -> (state, expected lobe count)."""
     t_rev = times[1]
-    cases = {
-        "cat t=0": (math.pi / 4, 0.0, 2),
-        "compass T/8": (math.pi / 2, t_rev / 8, 4),
-        "diagonal compass T/16": (0.0, t_rev / 16, 4),
-        "plain compass T/16": (math.pi, t_rev / 16, 4),
-        "eightfold T/16 pi/4": (math.pi / 4, t_rev / 16, 8),
-        "eightfold T/16 pi/2": (math.pi / 2, t_rev / 16, 8),
-    }
-    return {label: (model.phase_locked(theta, t), expected)
-            for label, (theta, t, expected) in cases.items()}
+    return {label: (model.phase_locked(theta, t_frac * t_rev), copies)
+            for label, theta, t_frac, copies in PAPER_STATES}
 
 
 @pytest.fixture(scope="session")

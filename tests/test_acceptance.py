@@ -30,10 +30,8 @@ from morsecontrol import (
     wigner_overlap,
     wigner_transform,
 )
-from morsecontrol.cli import TABLE2_REFERENCES, main as cli_main
+from morsecontrol.cli import TABLE2_REFERENCES, THETA_ROW, main as cli_main
 from morsecontrol.gridfile import GridFile, read_grid, write_grid
-
-THETAS = tuple(k * math.pi / 8.0 for k in range(9))
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:
@@ -260,10 +258,10 @@ def test_criterion_6_table2_ordering(model, t_rev):
     # claim about which point of the theta lattice is the exact minimum.
     areas = {}
     for frac, t in (("1/8", t_rev / 8), ("1/16", t_rev / 16)):
-        for theta in THETAS:
+        for theta in THETA_ROW:
             areas[(frac, theta)] = tile_area(model.phase_locked(theta, t))
     failures = []
-    for theta in THETAS:
+    for theta in THETA_ROW:
         if not areas[("1/16", theta)] < areas[("1/8", theta)]:
             failures.append(f"column ordering violated at theta={theta:.3f}")
     ordering_ok = not failures
@@ -277,7 +275,7 @@ def test_criterion_6_table2_ordering(model, t_rev):
         failures.append(f"reference order violated: {reference_order}")
 
     candidate = areas[("1/16", 0.0)]
-    column_min = min(areas[("1/8", theta)] for theta in THETAS)
+    column_min = min(areas[("1/8", theta)] for theta in THETA_ROW)
     if not candidate < column_min:
         failures.append(f"(theta=0, T_rev/16) {candidate:.6f} not below the "
                         f"T_rev/8 column minimum {column_min:.6f}")
@@ -295,19 +293,19 @@ def test_criterion_6_table2_ordering(model, t_rev):
 
 def test_criterion_7_table1_shape(model, t_rev):
     row = {}
-    for theta in THETAS:
+    for theta in THETA_ROW:
         row[theta] = fringe_amplitude(model.density(theta, t_rev / 8), model.x, I2.r0)
     mirrored = {theta: fringe_amplitude(model.density(2 * math.pi - theta, t_rev / 8),
                                         model.x, I2.r0)
-                for theta in THETAS[1:-1]}
+                for theta in THETA_ROW[1:-1]}
     failures = []
-    endpoint = row[THETAS[-1]]
+    endpoint = row[THETA_ROW[-1]]
     if not row[0.0] < 1e-3 * endpoint:
         failures.append(f"zero-phase amplitude {row[0.0]:.4f} not below 1e-3 of endpoint")
-    values = [row[theta] for theta in THETAS]
+    values = [row[theta] for theta in THETA_ROW]
     if not all(values[i + 1] >= values[i] - 1e-12 for i in range(8)):
         failures.append(f"row not nondecreasing: {[f'{v:.3f}' for v in values]}")
-    for theta in THETAS[1:-1]:
+    for theta in THETA_ROW[1:-1]:
         rel = abs(row[theta] - mirrored[theta]) / max(row[theta], 1e-30)
         if rel > 0.02:
             failures.append(f"mirror asymmetry {rel * 100:.1f}% > 2% at theta={theta / math.pi:.3f}pi")

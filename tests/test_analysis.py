@@ -20,6 +20,7 @@ from morsecontrol import (
     wigner_transform,
 )
 from morsecontrol.analysis import _alternating_extrema
+from morsecontrol.cli import THETA_ROW
 from morsecontrol.errors import InvalidParameterError, TruncationError
 
 
@@ -274,7 +275,7 @@ def test_fringe_amplitude_matches_loop_oracle(model, times, loop_fringe_amplitud
     thetas = 2.0 * math.pi * (np.arange(27) + rng.random(27)) / 27
     t_fracs = 0.25 * (np.arange(14) + rng.random(14)) / 14
     lattice = [(theta, frac * t_rev) for theta in thetas for frac in (0.0, *t_fracs)]
-    table1_row = [(k * math.pi / 8, t_rev / 8) for k in range(9)]
+    table1_row = [(theta, t_rev / 8) for theta in THETA_ROW]
     values = []
     for theta, t in lattice + table1_row:
         density = model.density(theta, t)

@@ -42,7 +42,7 @@ def test_depth_parameter_shallow_well():
 
 @pytest.mark.parametrize("field", ["beta", "mu", "r0", "D"])
 def test_nonpositive_parameters_rejected(field):
-    values = dict(beta=4.954, mu=1.156e5, r0=5.03, D=0.057)
+    values = dict(beta=I2.beta, mu=I2.mu, r0=I2.r0, D=I2.D)
     values[field] = 0.0
     with pytest.raises(InvalidParameterError, match=field):
         MorseParams(**values)
