@@ -147,8 +147,10 @@ def fringe_amplitude(density: np.ndarray, x_grid: np.ndarray, r0: float) -> floa
     ripple train against the steep inner wall. The score is half the largest
     peak-to-adjacent-trough range in a qualifying run; 0 when no run
     qualifies. Reported per atomic unit of internuclear distance, i.e.
-    divided by r0.
+    divided by r0, which must be positive and finite.
     """
+    if not 0.0 < r0 < math.inf:
+        raise InvalidParameterError(f"r0 must be positive and finite, got {r0!r}")
     density = np.asarray(density, dtype=float)
     x = np.asarray(x_grid, dtype=float)
     if density.shape != x.shape:

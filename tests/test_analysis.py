@@ -117,6 +117,14 @@ def test_fringe_amplitude_rejects_mismatched_lengths(toy_x):
         fringe_amplitude(density, toy_x[:-1], 1.0)
 
 
+@pytest.mark.parametrize("r0", [0.0, -2.0, math.nan])
+def test_fringe_amplitude_rejects_bad_r0(toy_x, r0):
+    density = np.exp(-(toy_x**2))
+    density /= np.trapezoid(density, toy_x)
+    with pytest.raises(InvalidParameterError, match="r0 must be positive and finite"):
+        fringe_amplitude(density, toy_x, r0)
+
+
 @pytest.mark.parametrize("entry", [uncertainties, tile_area, spectral_moments, auto_momentum_grid])
 def test_zero_state_rejected(toy_x, entry):
     state = StateGrid(x=toy_x, psi=np.zeros(toy_x.size, dtype=complex), theta=None, t=0.0)
