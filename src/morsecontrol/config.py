@@ -139,7 +139,7 @@ def validate_config(cfg: RunConfig, where: str = "config") -> RunConfig:
     try:
         params = MorseParams(beta=cfg.beta, mu=cfg.mu, r0=cfg.r0, D=cfg.D)
     except ValueError as exc:
-        raise ConfigError(f"{where}: physical parameters invalid: {exc}") from exc
+        raise ConfigError(f"{where}: beta, mu, r0, D: physical parameters invalid: {exc}") from exc
     if not 1 <= cfg.n_levels <= params.bound_state_count:
         fail("n_levels", f"must be 1..{params.bound_state_count} "
                          f"(the well binds {params.bound_state_count} states), got {cfg.n_levels}")

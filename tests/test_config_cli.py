@@ -1,6 +1,7 @@
 import math
 import re
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from morsecontrol import (I2, RunConfig, auto_momentum_grid, characteristic_time
                           fringe_amplitude, lobe_count, parse_config, read_grid,
                           uncertainties, wigner_transform)
 from morsecontrol.cli import COMMANDS, main
-from morsecontrol.config import apply_overrides, config_times, parse_angle, parse_fraction
+from morsecontrol.config import (apply_overrides, config_times, parse_angle, parse_fraction,
+                                 validate_config)
 from morsecontrol.errors import ConfigError
 
 
@@ -515,3 +517,35 @@ def test_non_finite_settings_rejected(tmp_path, capsys, command, setting, key):
     assert run_cli([command, "--outdir", str(tmp_path), "--set", setting] + BASE) == 1
     assert f"error: --set {key}: {key}: must be finite" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("line, message", [
+    ("theta_count=8", "config: theta_count: must be >= 9, got 8"),
+    ("steps=16", "config: steps: must be >= 32, got 16"),
+    ("lobe_threshold=1", "config: lobe_threshold: must be in (0, 1), got 1.0"),
+    ("direction=sideways", "config: direction: must be 'position' or 'momentum', got 'sideways'"),
+    ("format=xml", "config: format: must be 'full' or 'compact', got 'xml'"),
+    ("max_shift=0", "config: max_shift: must be positive or 'auto', got 0.0"),
+    ("D=1e-9", "config: beta, mu, r0, D: physical parameters invalid: "
+               "depth parameter 0.0154385 <= 1/2: the well supports no bound state"),
+    ("mu=-1", "config: beta, mu, r0, D: physical parameters invalid: mu must be positive"),
+    ("theta=pi/0", "line 1: theta: cannot parse 'pi/0' (division by zero in angle)"),
+    ("auto_p=maybe", "line 1: auto_p: cannot parse 'maybe' (expected a boolean"),
+    ("theta=,", "line 1: theta: cannot parse ',' (expected at least one value)"),
+    ("nx 512", "line 1: expected key=value, got 'nx 512'"),  # no key to name: the line
+])
+def test_rejected_config_lines_name_their_key(tmp_path, capsys, line, message):
+    config = tmp_path / "run.cfg"
+    config.write_text(line + "\n", encoding="utf-8")
+    assert run_cli(["state", "--config", str(config), "--outdir", str(tmp_path / "out")]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [config]
+
+
+@pytest.mark.parametrize("times, message", [
+    ({"t_frac": (0.125,), "t_au": (5.0,)}, "config: t_au: give times as t_frac or t_au, not both"),
+    ({"t_frac": None, "t_au": None}, "config: t_frac: one of t_frac or t_au is required"),
+])
+def test_exactly_one_time_spec_required(times, message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        validate_config(replace(RunConfig(), **times))
