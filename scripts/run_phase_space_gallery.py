@@ -14,8 +14,10 @@ import re
 import sys
 from pathlib import Path
 
-from morsecontrol import (PAPER_STATES, RunConfig, build_model, characteristic_times,
-                          lobe_count, tile_area, wigner_transform)
+from morsecontrol import (PAPER_STATES, RunConfig, auto_momentum_grid, build_model,
+                          characteristic_times, lobe_count, tile_area, wigner_transform)
+from morsecontrol.config import apply_overrides
+from morsecontrol.errors import ConfigError
 from morsecontrol.gridfile import GridFile, write_grid
 
 
@@ -25,10 +27,14 @@ def main() -> int:
     parser.add_argument("--nx", type=int, default=2048)
     parser.add_argument("--np", type=int, default=512)
     args = parser.parse_args()
+    try:
+        cfg = apply_overrides(RunConfig(), [f"nx={args.nx}", f"np={args.np}"])
+    except ConfigError as exc:
+        sys.exit(f"error: {exc}")
 
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    model = build_model(RunConfig(nx=args.nx))
+    model = build_model(cfg)
     _, t_rev = characteristic_times(model.params)
 
     print(f"{'snapshot':28s} {'theta':>8s} {'t/T_rev':>8s} {'lobes':>5s} "
@@ -36,7 +42,7 @@ def main() -> int:
     for label, theta, frac, _ in PAPER_STATES:
         name = re.sub(r"\W", "", label.replace(" ", "_"))
         state = model.phase_locked(theta, frac * t_rev)
-        w = wigner_transform(state)
+        w = wigner_transform(state, auto_momentum_grid(state, n=cfg.np))
         lobes = lobe_count(w)
         area = tile_area(state)
         write_grid(outdir / f"{name}.wgrd", GridFile(

@@ -1,0 +1,38 @@
+"""scripts/run_phase_space_gallery.py: its grids follow --nx and --np, and a
+bad grid size exits with the configuration's own message."""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+from morsecontrol import read_grid
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "run_phase_space_gallery.py"
+_spec = importlib.util.spec_from_file_location("run_phase_space_gallery", SCRIPT)
+gallery = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(gallery)
+
+
+def run(monkeypatch, *args):
+    monkeypatch.setattr(sys, "argv", [str(SCRIPT), *args])
+    return gallery.main()
+
+
+def test_grids_follow_nx_and_np(tmp_path, monkeypatch, capsys):
+    assert run(monkeypatch, "--outdir", str(tmp_path), "--nx", "1024", "--np", "128") == 0
+    names = sorted(p.name for p in tmp_path.iterdir())
+    assert names == ["cat_t0.wgrd", "compass_T8.wgrd", "diagonal_compass_T16.wgrd",
+                     "eightfold_T16_pi2.wgrd", "eightfold_T16_pi4.wgrd", "plain_compass_T16.wgrd"]
+    for name in names:
+        assert read_grid(tmp_path / name).payload.shape == (1024, 128)
+
+
+@pytest.mark.parametrize("flag, value", [("--nx", "100"), ("--np", "500")])
+def test_bad_grid_size_exits_with_the_config_message(tmp_path, monkeypatch, flag, value):
+    outdir = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        run(monkeypatch, "--outdir", str(outdir), flag, value)
+    assert exc.value.code == f"error: config: {flag[2:]}: must be a power of two >= 128, got {value}"
+    assert not outdir.exists()
