@@ -3,7 +3,8 @@
 Lines are UTF-8 ``key=value`` pairs; ``#`` starts a comment. Unknown keys,
 unparsable or non-finite values (nan, inf) and violated invariants raise
 ConfigError naming the key and line. Angles accept ``pi`` expressions
-("pi/8", "3pi/4", "2pi"); time fractions accept "a/b".
+("pi/8", "3pi/4", "2pi"); time fractions accept "a/b". ``build_model`` turns
+a configuration into its packet model.
 """
 
 from __future__ import annotations

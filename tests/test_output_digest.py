@@ -50,7 +50,9 @@ def _blas_threads() -> str:
         for name in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
                      "openblas_get_num_threads64_", "openblas_get_num_threads"):
             if hasattr(lib, name):
-                return str(getattr(lib, name)())
+                get_threads = getattr(lib, name)
+                get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+                return str(get_threads())
     return "unknown"
 
 
