@@ -14,9 +14,9 @@ import re
 import sys
 from pathlib import Path
 
-from morsecontrol import (PAPER_STATES, RunConfig, auto_momentum_grid, build_model,
-                          characteristic_times, lobe_count, tile_area, wigner_transform)
-from morsecontrol.config import apply_overrides
+from morsecontrol import (PAPER_STATES, RunConfig, build_model, characteristic_times,
+                          lobe_count, tile_area, wigner_transform)
+from morsecontrol.config import apply_overrides, momentum_grid
 from morsecontrol.errors import ConfigError
 from morsecontrol.gridfile import GridFile, write_grid
 
@@ -29,20 +29,20 @@ def main() -> int:
     args = parser.parse_args()
     try:
         cfg = apply_overrides(RunConfig(), [f"nx={args.nx}", f"np={args.np}"])
+        model = build_model(cfg)
+        _, t_rev = characteristic_times(model.params)
+        states = [model.phase_locked(theta, frac * t_rev) for _, theta, frac, _ in PAPER_STATES]
+        grids = [momentum_grid(cfg, state) for state in states]
     except ConfigError as exc:
         sys.exit(f"error: {exc}")
 
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    model = build_model(cfg)
-    _, t_rev = characteristic_times(model.params)
-
     print(f"{'snapshot':28s} {'theta':>8s} {'t/T_rev':>8s} {'lobes':>5s} "
           f"{'min W':>9s} {'tile area':>9s}")
-    for label, theta, frac, _ in PAPER_STATES:
+    for (label, theta, frac, _), state, p in zip(PAPER_STATES, states, grids):
         name = re.sub(r"\W", "", label.replace(" ", "_"))
-        state = model.phase_locked(theta, frac * t_rev)
-        w = wigner_transform(state, auto_momentum_grid(state, n=cfg.np))
+        w = wigner_transform(state, p)
         lobes = lobe_count(w)
         area = tile_area(state)
         write_grid(outdir / f"{name}.wgrd", GridFile(

@@ -26,12 +26,12 @@ import numpy as np
 from . import __version__
 from .analysis import carpet, fringe_amplitude, sensitivity_scan, tile_area, uncertainties
 from .config import (RunConfig, apply_environment, apply_overrides, build_model,
-                     config_times, parse_config, validate_config)
-from .errors import ConfigError, RangeAliasingError, SpacingAliasingError, TruncationError
+                     config_times, momentum_grid, parse_config, validate_config)
+from .errors import ConfigError, RangeAliasingError, TruncationError
 from .gridfile import GridFile, write_grid
 from .morse import MorseParams, characteristic_times, eigenfunction_with_capture, eigenstate
 from .wavepacket import WavePacketModel
-from .wigner import auto_momentum_grid, check_momentum_grid, lobe_count, wigner_transform
+from .wigner import lobe_count, wigner_transform
 
 THETA_LABELS = ("0", "pi/8", "pi/4", "3pi/8", "pi/2", "5pi/8", "3pi/4", "7pi/8", "pi")
 THETA_ROW = tuple(k * math.pi / 8.0 for k in range(9))
@@ -63,22 +63,6 @@ class _Workspace:
         if self._model is None:
             self._model = build_model(self.cfg)
         return self._model
-
-    def momentum_grid(self, state) -> np.ndarray:
-        """The configured momentum grid, rejected naming the keys that fix it
-        when ``state`` would alias on it."""
-        if self.cfg.auto_p:
-            p = auto_momentum_grid(state, n=self.cfg.np)
-        else:
-            p = np.linspace(-self.cfg.p_max, self.cfg.p_max, self.cfg.np)
-        try:
-            return check_momentum_grid(state, p)
-        except RangeAliasingError as exc:
-            raise ConfigError(
-                f"np, p_max, auto_p: {exc}; raise p_max or set auto_p=true") from exc
-        except SpacingAliasingError as exc:
-            raise ConfigError(
-                f"nx, x_min, x_max: {exc}; raise nx or narrow x_min..x_max") from exc
 
     def row(self, *values) -> str:
         """One CSV line: strings as given, None as an empty field, numbers at ``spec``."""
@@ -218,7 +202,7 @@ def cmd_state(ws: _Workspace, out: _Outputs) -> None:
 def cmd_wigner(ws: _Workspace, out: _Outputs) -> None:
     for index, (theta, t, frac) in enumerate(_lattice(ws)):
         state = ws.model.phase_locked(theta, t)
-        w = wigner_transform(state, ws.momentum_grid(state))
+        w = wigner_transform(state, momentum_grid(ws.cfg, state))
         lobes = lobe_count(w, ws.cfg.lobe_threshold)
         meta = {
             "theta": repr(float(w.theta)),
@@ -249,7 +233,7 @@ def cmd_metrics(ws: _Workspace, out: _Outputs) -> None:
         dx_spread, dp_spread = uncertainties(state)
         action = dx_spread * dp_spread
         fringes = fringe_amplitude(state.density, ws.x, ws.params.r0)
-        lobes = lobe_count(wigner_transform(state, ws.momentum_grid(state)),
+        lobes = lobe_count(wigner_transform(state, momentum_grid(ws.cfg, state)),
                            ws.cfg.lobe_threshold)
         rows.append(ws.row(state.theta, frac, t, dx_spread, dp_spread, action,
                            1.0 / action, fringes, lobes))
@@ -268,7 +252,7 @@ def cmd_sensitivity(ws: _Workspace, out: _Outputs) -> None:
     else:
         dx_spread, dp_spread = uncertainties(state)
         max_shift = dx_spread if cfg.direction == "position" else dp_spread
-    p = ws.momentum_grid(state)
+    p = momentum_grid(ws.cfg, state)
     try:
         scan = sensitivity_scan(state, cfg.direction, max_shift, cfg.steps, p=p)
     except TruncationError as exc:

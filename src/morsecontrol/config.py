@@ -4,7 +4,8 @@ Lines are UTF-8 ``key=value`` pairs; ``#`` starts a comment. Unknown keys,
 unparsable or non-finite values (nan, inf) and violated invariants raise
 ConfigError naming the key and line. Angles accept ``pi`` expressions
 ("pi/8", "3pi/4", "2pi"); time fractions accept "a/b". ``build_model`` turns
-a configuration into its packet model.
+a configuration into its packet model and ``momentum_grid`` gives a state
+its configured momentum grid.
 """
 
 from __future__ import annotations
@@ -16,9 +17,10 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, RangeAliasingError, SpacingAliasingError
 from .morse import I2, MorseParams
-from .wavepacket import WavePacketModel, split_even_odd, su2_coefficients
+from .wavepacket import StateGrid, WavePacketModel, split_even_odd, su2_coefficients
+from .wigner import auto_momentum_grid, check_momentum_grid
 
 _PI_TOKEN = re.compile(
     r"^(?P<sign>[+-]?)(?P<coef>\d+\.?\d*|\.\d+)?\s*pi\s*(?:/\s*(?P<div>\d+\.?\d*|\.\d+))?$"
@@ -238,6 +240,23 @@ def build_model(cfg: RunConfig) -> WavePacketModel:
     return WavePacketModel(MorseParams(beta=cfg.beta, mu=cfg.mu, r0=cfg.r0, D=cfg.D),
                            split_even_odd(su2_coefficients(cfg.alpha, cfg.n_levels - 1)),
                            np.linspace(cfg.x_min, cfg.x_max, cfg.nx))
+
+
+def momentum_grid(cfg: RunConfig, state: StateGrid) -> np.ndarray:
+    """The configured momentum grid, rejected naming the keys that fix it
+    when ``state`` would alias on it."""
+    if cfg.auto_p:
+        p = auto_momentum_grid(state, n=cfg.np)
+    else:
+        p = np.linspace(-cfg.p_max, cfg.p_max, cfg.np)
+    try:
+        return check_momentum_grid(state, p)
+    except RangeAliasingError as exc:
+        raise ConfigError(
+            f"np, p_max, auto_p: {exc}; raise p_max or set auto_p=true") from exc
+    except SpacingAliasingError as exc:
+        raise ConfigError(
+            f"nx, x_min, x_max: {exc}; raise nx or narrow x_min..x_max") from exc
 
 
 def config_times(cfg: RunConfig, revival_time: float) -> tuple[tuple[float, ...], tuple[float, ...] | None]:

@@ -1,5 +1,6 @@
 """scripts/run_phase_space_gallery.py: its grids follow --nx and --np, and a
-bad grid size exits with the configuration's own message."""
+bad grid size or an aliasing grid exits with the configuration's own
+message, before any file is written."""
 
 import importlib.util
 import sys
@@ -36,3 +37,14 @@ def test_bad_grid_size_exits_with_the_config_message(tmp_path, monkeypatch, flag
         run(monkeypatch, "--outdir", str(outdir), flag, value)
     assert exc.value.code == f"error: config: {flag[2:]}: must be a power of two >= 128, got {value}"
     assert not outdir.exists()
+
+
+def test_aliasing_grid_exits_naming_its_keys(tmp_path, monkeypatch, capsys):
+    # nx=128 is a valid grid size, but its position step is too coarse for
+    # the momentum content of the paper states
+    outdir = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        run(monkeypatch, "--outdir", str(outdir), "--nx", "128")
+    assert exc.value.code.startswith("error: nx, x_min, x_max: position spacing too coarse")
+    assert not outdir.exists()
+    assert capsys.readouterr().out == ""
