@@ -236,10 +236,16 @@ def apply_environment(cfg: RunConfig, environ: Mapping[str, str]) -> RunConfig:
 
 
 def build_model(cfg: RunConfig) -> WavePacketModel:
-    """The packet model of ``cfg``: its well, its split ladder and its position grid."""
+    """The packet model of ``cfg``: its well, its split ladder and its position grid.
+
+    A ladder that cannot be split into two parity families raises ConfigError
+    naming ``alpha, n_levels``."""
+    try:
+        coeffs = split_even_odd(su2_coefficients(cfg.alpha, cfg.n_levels - 1))
+    except ValueError as exc:
+        raise ConfigError(f"config: alpha, n_levels: coherent ladder invalid: {exc}") from exc
     return WavePacketModel(MorseParams(beta=cfg.beta, mu=cfg.mu, r0=cfg.r0, D=cfg.D),
-                           split_even_odd(su2_coefficients(cfg.alpha, cfg.n_levels - 1)),
-                           np.linspace(cfg.x_min, cfg.x_max, cfg.nx))
+                           coeffs, np.linspace(cfg.x_min, cfg.x_max, cfg.nx))
 
 
 def momentum_grid(cfg: RunConfig, state: StateGrid) -> np.ndarray:

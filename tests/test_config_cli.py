@@ -303,6 +303,17 @@ def test_cli_degenerate_state_fails_cleanly(tmp_path, capsys):
     assert "split" in capsys.readouterr().err.lower() or not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("setting, message", [
+    ("alpha=0", "cannot split: even weight 1, odd weight 0"),
+    ("n_levels=1", "n_max must be >= 1, got 0"),
+])
+def test_unbuildable_ladder_names_its_keys(tmp_path, capsys, setting, message):
+    assert run_cli(["state", "--outdir", str(tmp_path), "--set", setting] + BASE) == 1
+    assert (f"error: config: alpha, n_levels: coherent ladder invalid: {message}"
+            in capsys.readouterr().err)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_partial_outputs_removed_on_failure(tmp_path, capsys):
     # the first lattice point fits inside p_max, the second does not: the
     # command must fail and remove the files it already wrote
