@@ -152,7 +152,9 @@ def validate_config(cfg: RunConfig, where: str = "config") -> RunConfig:
             fail(key, f"must be a power of two >= 128, got {value}")
     if not cfg.x_min < cfg.x_max:
         fail("x_min", f"x_min={cfg.x_min} must be below x_max={cfg.x_max}")
-    if not cfg.auto_p and (cfg.p_max is None or cfg.p_max <= 0):
+    if cfg.p_max is not None and cfg.p_max <= 0:
+        fail("p_max", f"must be positive, got {cfg.p_max}")
+    if not cfg.auto_p and cfg.p_max is None:
         fail("p_max", "a positive p_max is required when auto_p is false")
     if cfg.t_frac is not None and cfg.t_au is not None:
         fail("t_au", "give times as t_frac or t_au, not both")

@@ -537,6 +537,8 @@ def test_non_finite_settings_rejected(tmp_path, capsys, command, setting, key):
     ("direction=sideways", "config: direction: must be 'position' or 'momentum', got 'sideways'"),
     ("format=xml", "config: format: must be 'full' or 'compact', got 'xml'"),
     ("max_shift=0", "config: max_shift: must be positive or 'auto', got 0.0"),
+    ("p_max=-1", "config: p_max: must be positive, got -1.0"),
+    ("p_max=0", "config: p_max: must be positive, got 0.0"),
     ("D=1e-9", "config: beta, mu, r0, D: physical parameters invalid: "
                "depth parameter 0.0154385 <= 1/2: the well supports no bound state"),
     ("mu=-1", "config: beta, mu, r0, D: physical parameters invalid: mu must be positive"),
