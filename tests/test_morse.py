@@ -138,7 +138,10 @@ def test_truncation_warning_on_narrow_grid():
 
 
 def test_norm_capture_adequate_grid(x_grid):
-    assert eigenfunction_with_capture(I2, 23, x_grid)[1] == pytest.approx(1.0, abs=1e-8)
+    # the capture is the grid norm of the analytic eigenfunction, so a wrong
+    # log-gamma argument in its normalisation moves it by orders of magnitude
+    for m in range(24):
+        assert eigenfunction_with_capture(I2, m, x_grid)[1] == pytest.approx(1.0, abs=1e-11), m
 
 
 def test_eigenfunction_with_capture_matches_separate_calls(x_grid):
