@@ -27,63 +27,6 @@ MIN_GRID_POINTS = 16
 #: Warn when a grid captures less than 1 - NORM_CAPTURE_TOL of an eigenstate.
 NORM_CAPTURE_TOL = 1e-6
 
-# Coefficients of Cephes lgam (S. L. Moshier): Stirling-series correction
-# for 13 <= x < 1000, and the rational approximation of log(Gamma(2 + x))
-# on 0 <= x < 1.
-_LGAM_A = (8.11614167470508450300E-4, -5.95061904284301438324E-4,
-           7.93650340457716943945E-4, -2.77777777730099687205E-3,
-           8.33333333333331927722E-2)
-_LGAM_B = (-1.37825152569120859100E3, -3.88016315134637840924E4,
-           -3.31612992738871184744E5, -1.16237097492762307383E6,
-           -1.72173700820839662146E6, -8.53555664245765465627E5)
-_LGAM_C = (1.0, -3.51815701436523470549E2, -1.70642106651881159223E4,
-           -2.20528590553854454839E5, -1.13933444367982507207E6,
-           -2.53252307177582951285E6, -2.01889141433532773231E6)
-_LS2PI = 0.91893853320467274178  # log(sqrt(2*pi))
-
-
-def _polevl(x: float, coefficients: tuple[float, ...]) -> float:
-    """Horner evaluation, highest power first, in Cephes' operation order."""
-    value = coefficients[0]
-    for c in coefficients[1:]:
-        value = value * x + c
-    return value
-
-
-def log_gamma(x: float) -> float:
-    """log(Gamma(x)) for positive finite x.
-
-    A port of Cephes lgam with scalar ``math.log``, so it returns the same
-    float64 bits as ``scipy.special.gammaln`` (tests/test_morse.py checks
-    this) without importing scipy.
-    """
-    x = float(x)
-    if not 0.0 < x < math.inf:
-        raise InvalidParameterError(f"log_gamma needs a positive finite argument, got {x!r}")
-    if x < 13.0:
-        # shift u = x + p into [2, 3), collecting the Gamma recurrence in z
-        z, p, u = 1.0, 0.0, x
-        while u >= 3.0:
-            p -= 1.0
-            u = x + p
-            z *= u
-        while u < 2.0:
-            z /= u
-            p += 1.0
-            u = x + p
-        if u == 2.0:
-            return math.log(z)
-        x = x + (p - 2.0)
-        return math.log(z) + x * _polevl(x, _LGAM_B) / _polevl(x, _LGAM_C)
-    q = (x - 0.5) * math.log(x) - x + _LS2PI
-    if x > 1.0e8:
-        return q
-    p = 1.0 / (x * x)
-    if x >= 1000.0:
-        return q + ((7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
-                    + 0.0833333333333333333333) / x
-    return q + _polevl(p, _LGAM_A) / x
-
 
 def depth_parameter(beta: float, mu: float, r0: float, D: float) -> float:
     """Dimensionless depth parameter r0*sqrt(2*mu*D)/beta of the well.
@@ -226,7 +169,7 @@ def _analytic_eigenfunction(params: MorseParams, m: int, x: np.ndarray) -> np.nd
     """psi_m with its analytic normalization, assembled in log space.
 
     The normalization and the power/exponential prefactor are combined as
-    logarithms (log-gamma for the norm), the Laguerre factor comes from the
+    logarithms (``math.lgamma`` for the norm), the Laguerre factor comes from the
     three-term recurrence, and the exponential is applied only at the end.
     At depth ~ 117 the individual gamma factors overflow by hundreds of
     orders of magnitude; the combined logarithm does not.
@@ -237,7 +180,7 @@ def _analytic_eigenfunction(params: MorseParams, m: int, x: np.ndarray) -> np.nd
     xi = 2.0 * lam * np.exp(-params.beta * x)
 
     log_norm = 0.5 * (
-        math.log(params.beta) + math.log(order) + log_gamma(m + 1) - log_gamma(2.0 * lam - m)
+        math.log(params.beta) + math.log(order) + math.lgamma(m + 1) - math.lgamma(2.0 * lam - m)
     )
     log_pre = log_norm + s * np.log(xi) - 0.5 * xi
 

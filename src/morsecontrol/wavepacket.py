@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSplitError, GridError, InvalidParameterError
-from .morse import MorseParams, eigenfunction_table, energies, log_gamma
+from .morse import MorseParams, eigenfunction_table, energies
 
 
 def su2_coefficients(alpha: float, n_max: int) -> "CoefficientSet":
@@ -35,7 +35,7 @@ def su2_coefficients(alpha: float, n_max: int) -> "CoefficientSet":
         c = np.zeros(n_max + 1)
         c[0] = 1.0
     else:
-        log_fact = np.array([log_gamma(k + 1) for k in m])
+        log_fact = np.array([math.lgamma(k + 1) for k in m])
         log_binom = 0.5 * (log_fact[n_max] - log_fact - log_fact[::-1])
         log_c = log_binom + m * math.log(abs(alpha)) - 0.5 * n_max * math.log1p(alpha * alpha)
         sign = np.where(m % 2 == 1, math.copysign(1.0, alpha), 1.0)

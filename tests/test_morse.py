@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import gammaln
 
 from morsecontrol import (
     ATOMIC_TIME_SECONDS,
@@ -20,8 +19,7 @@ from morsecontrol import (
     morse_potential,
 )
 from morsecontrol.errors import GridError, InvalidParameterError, TruncationWarning
-from morsecontrol.config import RunConfig
-from morsecontrol.morse import eigenfunction_with_capture, log_gamma
+from morsecontrol.morse import eigenfunction_with_capture
 
 
 def test_depth_parameter_unit_case():
@@ -199,35 +197,3 @@ def test_derived_quantities_consistent(beta, mu, r0, D):
     assert np.all(np.diff(e) > 0)
     t_cl, t_rev = characteristic_times(params)
     assert t_rev / t_cl == pytest.approx(2.0 * params.depth - 1.0, rel=1e-12)
-
-
-def _default_model_log_gamma_arguments():
-    """Every argument the default configuration passes to log_gamma."""
-    cfg = RunConfig()
-    depth = MorseParams(beta=cfg.beta, mu=cfg.mu, r0=cfg.r0, D=cfg.D).depth
-    levels = np.arange(cfg.n_levels, dtype=float)
-    return np.concatenate([levels + 1.0, 2.0 * depth - levels])  # factorials, norms
-
-
-def test_log_gamma_bit_equal_to_gammaln():
-    rng = np.random.default_rng(20011)
-    x = np.concatenate([
-        _default_model_log_gamma_arguments(),
-        np.arange(1.0, 2000.0),                # integers: the exact u == 2 return
-        np.arange(1.5, 600.0),                 # half-integers
-        rng.uniform(1e-3, 13.0, 40_000),       # recurrence shift and rational fit
-        10.0 ** rng.uniform(-300.0, -3.0, 2_000),
-        rng.uniform(13.0, 1000.0, 40_000),     # Stirling series with the A polynomial
-        rng.uniform(1000.0, 1e8, 20_000),      # three-term Stirling series
-        10.0 ** rng.uniform(8.0, 300.0, 2_000),  # Stirling leading terms only
-    ])
-    assert x.size >= 100_000
-    ours = np.array([log_gamma(v) for v in x])
-    mismatched = ours.view(np.int64) != gammaln(x).view(np.int64)
-    assert not mismatched.any(), x[mismatched][:10]
-
-
-@pytest.mark.parametrize("x", [0.0, -0.0, -1.0, -2.5, math.nan, math.inf])
-def test_log_gamma_rejects_arguments_outside_its_domain(x):
-    with pytest.raises(InvalidParameterError, match="positive finite"):
-        log_gamma(x)
