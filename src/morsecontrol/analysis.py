@@ -284,8 +284,10 @@ def sensitivity_scan(state: StateGrid, direction: str, max_shift: float, steps: 
     if idx.size:
         p_grid = auto_momentum_grid(state) if p is None else p
         w_base = wigner_transform(state, p_grid)
+        # a zero shift returns the state itself, whose grid is w_base
         w_vals = np.array([
-            wigner_overlap(w_base, wigner_transform(displace(float(shifts[i])), p_grid))
+            wigner_overlap(w_base, w_base if shifts[i] == 0.0
+                           else wigner_transform(displace(float(shifts[i])), p_grid))
             for i in idx
         ])
     else:

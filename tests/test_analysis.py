@@ -13,12 +13,14 @@ from morsecontrol import (
     fringe_amplitude,
     marginals,
     momentum_density,
+    purity,
     sensitivity_scan,
     spectral_moments,
     tile_area,
     uncertainties,
     wigner_transform,
 )
+from morsecontrol import analysis
 from morsecontrol.analysis import _alternating_extrema
 from morsecontrol.cli import THETA_ROW
 from morsecontrol.errors import InvalidParameterError, TruncationError
@@ -238,6 +240,22 @@ def test_sensitivity_scan_wigner_cross_check(toy_x):
     assert scan.wigner_indices.size == 3
     for idx, value in zip(scan.wigner_indices, scan.wigner_overlaps):
         assert value == pytest.approx(scan.overlaps[idx], abs=5e-3)
+
+
+def test_sensitivity_scan_reuses_base_grid_at_zero_shift(toy_x, monkeypatch):
+    state = gaussian_state(toy_x)
+    p = auto_momentum_grid(state)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return wigner_transform(*args)
+
+    monkeypatch.setattr(analysis, "wigner_transform", counted)
+    scan = sensitivity_scan(state, "position", max_shift=3.0, steps=32, cross_checks=3, p=p)
+    assert scan.wigner_indices[0] == 0
+    assert scan.wigner_overlaps[0] == purity(wigner_transform(state, p))
+    assert len(calls) == scan.wigner_indices.size  # the base grid and one per nonzero shift
 
 
 def test_sensitivity_scan_validation(toy_x):
