@@ -34,14 +34,28 @@ class CZT:
         k = np.arange(max(m, n), dtype=np.min_scalar_type(-max(m, n) ** 2))
         wk2 = w ** (k ** 2 / 2.0)
         self.n, self.m = n, m
-        self._nfft = next_fast_len(n + m - 1)
+        #: FFT length; the last axis of a ``work`` array
+        self.nfft = next_fast_len(n + m - 1)
         self._awk2 = a ** -k[:n] * wk2[:n]
-        self._fwk2 = np.fft.fft(1 / np.hstack((wk2[n - 1:0:-1], wk2[:m])), self._nfft)
+        self._fwk2 = np.fft.fft(1 / np.hstack((wk2[n - 1:0:-1], wk2[:m])), self.nfft)
         self._wk2 = wk2[:m]
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
+    def __call__(self, x: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
+        """The transform of ``x`` along its last axis.
+
+        ``work``, a complex128 array of shape x.shape[:-1] + (nfft,), holds
+        the FFTs in place when given, and the result is a view into it;
+        otherwise a new one is allocated. The values are the same either way.
+        """
         x = np.asarray(x)
         if x.shape[-1] != self.n:
             raise ValueError(f"CZT defined for length {self.n}, not {x.shape[-1]}")
-        y = np.fft.ifft(self._fwk2 * np.fft.fft(x * self._awk2, self._nfft))
-        return y[..., self.n - 1:self.n + self.m - 1] * self._wk2
+        if work is None:
+            work = np.empty(x.shape[:-1] + (self.nfft,), dtype=np.complex128)
+        np.multiply(x, self._awk2, out=work[..., :self.n])
+        work[..., self.n:] = 0.0
+        np.fft.fft(work, out=work)
+        np.multiply(self._fwk2, work, out=work)
+        np.fft.ifft(work, out=work)
+        y = work[..., self.n - 1:self.n + self.m - 1]
+        return np.multiply(y, self._wk2, out=y)

@@ -11,11 +11,17 @@ support, summed in a fixed order so results are reproducible bit for bit.
 Each row's lag product is Hermitian in the lag, so its transform is real;
 one chirp-z call therefore carries two rows, one in the real part of its
 input and the other in the imaginary part.
+
+The row blocks of the transform and of the coarse grain run on a few
+threads (numpy's FFTs and ufunc loops release the GIL). The blocks are the
+same at any thread count, so the results are too.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +39,8 @@ SUPPORT_CUTOFF = 1e-12
 #: Row pairs per chirp-z call; larger blocks were slower, the transform
 #: being memory-bound, and the rows stay bit-identical either way.
 ROW_BLOCK = 8
+#: Most threads the row blocks run on; only 1 and 2 were measured.
+MAX_ROW_THREADS = 4
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,6 +129,48 @@ def check_momentum_grid(state: StateGrid, p: np.ndarray) -> np.ndarray:
     return p
 
 
+def _worker_count() -> int:
+    """Threads for the row blocks: the CPUs this process may run on, capped."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, MAX_ROW_THREADS))
+
+
+def _run_blocks(task, starts: range, make_buffers) -> None:
+    """task(start, buffers) for every block start, on up to _worker_count() threads.
+
+    Each thread takes the next unclaimed block and owns one set of buffers
+    from make_buffers(), allocated here in the calling thread. With one
+    thread the blocks run inline.
+    """
+    n_threads = max(1, min(_worker_count(), len(starts)))
+    buffer_sets = [make_buffers() for _ in range(n_threads)]
+    if n_threads == 1:
+        for start in starts:
+            task(start, buffer_sets[0])
+        return
+    from concurrent.futures import ThreadPoolExecutor
+
+    pending = iter(starts)
+    lock = threading.Lock()
+
+    def drain(buffers) -> None:
+        while True:
+            with lock:
+                start = next(pending, None)
+            if start is None:
+                return
+            task(start, buffers)
+
+    with ThreadPoolExecutor(max_workers=n_threads - 1) as pool:
+        futures = [pool.submit(drain, buffers) for buffers in buffer_sets[1:]]
+        drain(buffer_sets[0])
+        for future in futures:
+            future.result()
+
+
 def wigner_transform(state: StateGrid, p: np.ndarray | None = None) -> WignerGrid:
     """Wigner distribution of ``state`` on (state.x) x (p).
 
@@ -152,15 +202,26 @@ def wigner_transform(state: StateGrid, p: np.ndarray | None = None) -> WignerGri
     scale = dx / math.pi
     windows = sliding_window_view(padded, 2 * half + 1)
     values = np.empty((nx, p.size))
-    for i in range(0, nx, 2 * ROW_BLOCK):
+
+    def pair_rows(i: int, buffers: tuple[np.ndarray, np.ndarray]) -> None:
         seg = windows[i:i + 2 * ROW_BLOCK]
-        corr = np.conj(seg[:, ::-1]) * seg
+        corr = buffers[0][:len(seg)]
+        np.conjugate(seg[:, ::-1], out=corr)
+        np.multiply(corr, seg, out=corr)
         packed, odd = corr[0::2], corr[1::2]
-        packed[:len(odd)] += 1j * odd
-        pairs = tail_phase * transform(packed)
+        work = buffers[1][:len(packed)]
+        shifted = work[:len(odd), :offsets.size]  # 1j*odd, before the transform needs work
+        np.multiply(1j, odd, out=shifted)
+        np.add(packed[:len(odd)], shifted, out=packed[:len(odd)])
+        pairs = transform(packed, work)
+        np.multiply(tail_phase, pairs, out=pairs)
         rows = values[i:i + len(seg)]
         np.multiply(pairs.real, scale, out=rows[0::2])
         np.multiply(pairs.imag[:len(odd)], scale, out=rows[1::2])
+
+    _run_blocks(pair_rows, range(0, nx, 2 * ROW_BLOCK),
+                lambda: (np.empty((2 * ROW_BLOCK, offsets.size), dtype=np.complex128),
+                         np.empty((ROW_BLOCK, transform.nfft), dtype=np.complex128)))
     norm = float(values.sum() * dx * dp)
     return WignerGrid(x=state.x, p=p, values=values, theta=state.theta,
                       t=state.t, norm_captured=norm)
@@ -202,12 +263,14 @@ LOBE_MERGE_CELLS = 1.5
 SMOOTH_BLOCK = 32
 
 
-def _smooth_rows(values: np.ndarray, sigma: float) -> np.ndarray:
+def _smooth_rows(values: np.ndarray, sigma: float, out: np.ndarray | None = None) -> np.ndarray:
     """Gaussian smoothing along axis 1, with zeros beyond both ends.
 
     A zero-padded linear convolution by FFT. The kernel is that of
     scipy.ndimage.gaussian_filter1d: radius int(4*sigma + 0.5) samples and
-    weights exp(-k^2/(2 sigma^2)) summing to 1.
+    weights exp(-k^2/(2 sigma^2)) summing to 1. The result goes to ``out``
+    (new by default), which may be ``values`` itself: each block of rows is
+    read before it is written.
     """
     radius = int(4.0 * sigma + 0.5)
     k = np.arange(-radius, radius + 1)
@@ -218,11 +281,22 @@ def _smooth_rows(values: np.ndarray, sigma: float) -> np.ndarray:
     # free of wrap-around for any nfft >= n + radius
     nfft = next_fast_len(n + radius)
     response = np.fft.rfft(kernel, nfft)
-    out = np.empty(values.shape)
-    for i in range(0, values.shape[0], SMOOTH_BLOCK):
-        block = np.ascontiguousarray(values[i:i + SMOOTH_BLOCK])
-        spectrum = np.fft.rfft(block, nfft) * response
-        out[i:i + SMOOTH_BLOCK] = np.fft.irfft(spectrum, nfft)[:, radius:radius + n]
+    if out is None:
+        out = np.empty(values.shape)
+    block_rows = min(SMOOTH_BLOCK, values.shape[0])
+
+    def smooth_block(i: int, buffers: tuple[np.ndarray, np.ndarray]) -> None:
+        block = values[i:i + SMOOTH_BLOCK]
+        signal, spectrum = buffers[0][:len(block)], buffers[1][:len(block)]
+        np.copyto(signal[:, :n], block)
+        np.fft.rfft(signal[:, :n], nfft, out=spectrum)
+        np.multiply(spectrum, response, out=spectrum)
+        np.fft.irfft(spectrum, nfft, out=signal)
+        out[i:i + len(block)] = signal[:, radius:radius + n]
+
+    _run_blocks(smooth_block, range(0, values.shape[0], SMOOTH_BLOCK),
+                lambda: (np.empty((block_rows, nfft)),
+                         np.empty((block_rows, nfft // 2 + 1), dtype=np.complex128)))
     return out
 
 
@@ -233,10 +307,10 @@ def _gaussian_smooth(values: np.ndarray, sigma: tuple[float, float]) -> np.ndarr
     mode="constant" does; the two agree to rounding (tests/test_wigner.py).
     Both passes smooth rows, the axis-0 pass those of the transpose, copied
     contiguous one block at a time: they transform faster than strided
-    columns.
+    columns. The axis-1 pass overwrites the axis-0 pass's output.
     """
-    along_axis0 = _smooth_rows(values.T, sigma[0]).T
-    return _smooth_rows(along_axis0, sigma[1])
+    smooth = _smooth_rows(values.T, sigma[0]).T
+    return _smooth_rows(smooth, sigma[1], out=smooth)
 
 
 def _coarse_grain(w: WignerGrid) -> tuple[np.ndarray, float, float]:

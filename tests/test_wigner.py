@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -102,6 +104,57 @@ def test_transform_peak_memory_stays_near_the_output(classification_states):
         tracemalloc.stop()
     assert peak <= 1.5 * w.values.nbytes
 
+
+
+def test_thread_count_does_not_move_a_bit(monkeypatch):
+    # 1001 rows and 203 momentum columns: neither is a multiple of
+    # 2*ROW_BLOCK or SMOOTH_BLOCK, so both loops end on a partial block
+    assert 1001 % (2 * wigner.ROW_BLOCK) and 1001 % wigner.SMOOTH_BLOCK
+    assert 203 % wigner.SMOOTH_BLOCK
+    x = np.linspace(-8.0, 8.0, 1001)
+    state = cat_state(x)
+    state = StateGrid(x=x, psi=state.psi * np.exp(0.3j * x), theta=None, t=0.0)
+    p = np.linspace(-5.0, 5.0, 203)
+    results = {}
+    for n in (1, 2, 3):
+        monkeypatch.setattr(wigner, "_worker_count", lambda n=n: n)
+        w = wigner_transform(state, p)
+        smooth, cell_x, cell_p = wigner._coarse_grain(w)
+        results[n] = (w.values.tobytes(), w.norm_captured, smooth.tobytes(), cell_x, cell_p,
+                      [lobe_count(w, f) for f in (0.2, 0.3, 0.4)])
+    assert results[1] == results[2] == results[3]
+
+
+def test_worker_count_follows_affinity_up_to_the_cap(monkeypatch):
+    for cpus, expected in ((1, 1), (2, 2), (64, wigner.MAX_ROW_THREADS)):
+        monkeypatch.setattr(wigner.os, "sched_getaffinity", lambda pid, c=cpus: set(range(c)),
+                            raising=False)
+        assert wigner._worker_count() == expected
+
+
+def test_row_blocks_each_run_once_under_contention(monkeypatch):
+    # more threads than cores and a short switch interval: a block taken
+    # twice or lost, or a buffer set shared by two threads, shows here
+    monkeypatch.setattr(wigner, "_worker_count", lambda: 8)
+    seen, owners = [], {}
+    lock = threading.Lock()
+
+    def task(start, buffers):
+        with lock:
+            owners.setdefault(id(buffers), set()).add(threading.get_ident())
+        seen.append(start)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            seen.clear()
+            owners.clear()
+            wigner._run_blocks(task, range(0, 1000, 7), lambda: [])
+            assert sorted(seen) == list(range(0, 1000, 7))
+            assert all(len(threads) == 1 for threads in owners.values())
+    finally:
+        sys.setswitchinterval(interval)
 
 def test_normalization_and_purity(smoke_x):
     w = wigner_transform(gaussian_state(smoke_x), np.linspace(-6, 6, 128))
