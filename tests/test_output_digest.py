@@ -9,14 +9,19 @@ here. To record a deliberate move, rewrite the file with
 
     PYTHONPATH=src python tests/test_output_digest.py
 
-and name every file that moved. On another numpy, BLAS, BLAS thread count or
-architecture the test skips and names the difference: floats from another
-BLAS say nothing about the change.
+and name every file that moved. On another numpy or architecture the test
+skips and names the difference: floats from another FFT or another CPU say
+nothing about the change. The package calls no BLAS, so neither the BLAS
+library nor its thread count is part of the fingerprint;
+``test_digest_does_not_depend_on_blas_threads`` checks that they do not
+matter.
 """
 
-import ctypes
 import importlib.util
+import os
 import platform
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -39,31 +44,8 @@ _spec.loader.exec_module(_script)
 digest = _script.digest
 
 
-def _blas_threads() -> str:
-    """Thread count of the OpenBLAS numpy loaded, or 'unknown'."""
-    try:
-        maps = Path("/proc/self/maps").read_text()
-    except OSError:
-        return "unknown"
-    for path in sorted({line.split()[-1] for line in maps.splitlines() if "openblas" in line}):
-        lib = ctypes.CDLL(path)
-        for name in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
-                     "openblas_get_num_threads64_", "openblas_get_num_threads"):
-            if hasattr(lib, name):
-                get_threads = getattr(lib, name)
-                get_threads.argtypes, get_threads.restype = [], ctypes.c_int
-                return str(get_threads())
-    return "unknown"
-
-
 def fingerprint() -> dict[str, str]:
-    blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
-    return {
-        "numpy": np.__version__,
-        "blas": f"{blas['name']} {blas['version']}",
-        "blas_threads": _blas_threads(),
-        "machine": platform.machine(),
-    }
+    return {"numpy": np.__version__, "machine": platform.machine()}
 
 
 def _key(settings: tuple[str, ...]) -> str:
@@ -108,6 +90,16 @@ def test_outputs_match_recorded_digest(settings):
     lines = digest(list(GRID + settings))
     moved = sorted({line.split()[-1] for line in set(lines) ^ set(expected)})
     assert lines == expected, f"output bytes or exit codes moved: {', '.join(moved)}"
+
+
+def test_digest_does_not_depend_on_blas_threads():
+    settings = list(GRID + CONFIGS[0])
+    argv = [sys.executable, str(ROOT / "scripts" / "output_digest.py")]
+    for item in settings:
+        argv += ["--set", item]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    single = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=300, check=True)
+    assert single.stdout.splitlines() == digest(settings)
 
 
 if __name__ == "__main__":
