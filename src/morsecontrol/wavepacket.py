@@ -149,9 +149,11 @@ PAPER_STATES = (
 class WavePacketModel:
     """Eigenbasis expansion engine for the phase-locked packet family.
 
-    Precomputes the eigenfunction table and level energies once; every state
-    is then a single coefficient contraction. The table is stored as
-    complex128, so that contraction does not cast it on every call.
+    Precomputes the real eigenfunction table and the level energies once.
+    Every state at time t mixes the even and odd packets at t, which the
+    model keeps for the last t it was asked for, read-only: a carpet or a
+    theta scan at one time expands each packet once. Each packet sums its
+    own parity's levels with np.einsum, which calls no BLAS.
     """
 
     def __init__(self, params: MorseParams, coeffs: CoefficientSet, x_grid: np.ndarray):
@@ -165,48 +167,61 @@ class WavePacketModel:
         self.params = params
         self.coeffs = coeffs
         self.x = np.asarray(x_grid, dtype=float)
-        self.table = eigenfunction_table(params, n_levels, self.x).astype(np.complex128)
+        self.table = eigenfunction_table(params, n_levels, self.x)
         self.energies = energies(params, n_levels)
-        even_vec = np.zeros(n_levels)
-        even_vec[0::2] = coeffs.even_amplitudes
-        odd_vec = np.zeros(n_levels)
-        odd_vec[1::2] = coeffs.odd_amplitudes
-        self._parity_vectors = {"even": even_vec, "odd": odd_vec}
+        self._parities = {"even": (slice(0, None, 2), coeffs.even_amplitudes),
+                          "odd": (slice(1, None, 2), coeffs.odd_amplitudes)}
+        self._packets_at: tuple[float, np.ndarray, np.ndarray] | None = None
 
     @property
     def dx(self) -> float:
         return float(self.x[1] - self.x[0])
 
-    def _expand(self, weights: np.ndarray, t: float) -> np.ndarray:
+    def _packet(self, parity: str, t: float) -> np.ndarray:
+        levels, amplitudes = self._parities[parity]
+        phased = amplitudes * np.exp(-1j * self.energies[levels] * t)
+        table = self.table[levels]
+        psi = np.empty(self.x.size, dtype=np.complex128)
         # Fixed summation order over levels for bit-reproducibility.
-        phased = weights * np.exp(-1j * self.energies * t)
-        return phased @ self.table
+        np.einsum("k,kx->x", np.ascontiguousarray(phased.real), table, out=psi.real)
+        np.einsum("k,kx->x", np.ascontiguousarray(phased.imag), table, out=psi.imag)
+        psi.flags.writeable = False
+        return psi
+
+    def _packets(self, t: float) -> tuple[np.ndarray, np.ndarray]:
+        """The even and odd packets at t, from the one-entry cache."""
+        cached = self._packets_at
+        if cached is None or cached[0] != t:
+            cached = (float(t), self._packet("even", t), self._packet("odd", t))
+            self._packets_at = cached
+        return cached[1], cached[2]
 
     def subsidiary(self, parity: str, t: float) -> StateGrid:
-        """Unit-norm packet restricted to one parity class of levels."""
-        if parity not in self._parity_vectors:
+        """Unit-norm packet restricted to one parity class of levels; psi is read-only."""
+        if parity not in self._parities:
             raise InvalidParameterError(f"parity must be 'even' or 'odd', got {parity!r}")
-        psi = self._expand(self._parity_vectors[parity], t)
-        return StateGrid(x=self.x, psi=psi, theta=None, t=t)
+        even, odd = self._packets(t)
+        return StateGrid(x=self.x, psi=even if parity == "even" else odd, theta=None, t=t)
 
-    def _phase_weights(self, theta: float) -> tuple[float, np.ndarray]:
-        """theta reduced mod 2*pi, and the level weights of the mix at it."""
+    def _mix(self, theta: float, t: float) -> tuple[float, np.ndarray]:
+        """theta reduced mod 2*pi, and psi of the mix at it."""
         th = float(theta) % (2.0 * math.pi)
         a = 0.5 * (1.0 - np.exp(1j * th))
         b = 0.5 * (1.0 + np.exp(1j * th))
-        return th, a * self._parity_vectors["even"] + b * self._parity_vectors["odd"]
+        even, odd = self._packets(t)
+        return th, a * even + b * odd
 
     def phase_locked(self, theta: float, t: float) -> StateGrid:
         """Coherent mix of the parity packets at control phase theta.
 
         theta is reduced mod 2*pi; the analytic norm is exactly 1.
         """
-        th, weights = self._phase_weights(theta)
-        return StateGrid(x=self.x, psi=self._expand(weights, t), theta=th, t=t)
+        th, psi = self._mix(theta, t)
+        return StateGrid(x=self.x, psi=psi, theta=th, t=t)
 
     def density(self, theta: float, t: float) -> np.ndarray:
         """|state(theta, t)|^2 on the position grid, without building the state."""
-        return np.abs(self._expand(self._phase_weights(theta)[1], t)) ** 2
+        return np.abs(self._mix(theta, t)[1]) ** 2
 
     def density_decomposition(self, theta: float, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Even, odd and cross contributions whose pointwise sum is the density.
@@ -214,8 +229,7 @@ class WavePacketModel:
         The cross part is (sin(theta)/2) * i*(odd*conj(even) - even*conj(odd)),
         which is real-valued.
         """
-        even = self.subsidiary("even", t).psi
-        odd = self.subsidiary("odd", t).psi
+        even, odd = self._packets(t)
         even_coeff, odd_coeff, cross_coeff = phase_circle_coeffs(theta)
         even_part = even_coeff * np.abs(even) ** 2
         odd_part = odd_coeff * np.abs(odd) ** 2

@@ -265,17 +265,72 @@ def test_density_equals_state_density(model, times):
 
 
 def test_phase_locked_does_not_copy_table(model, times):
-    # The table is complex already, so the expansion allocates about psi
-    # and its weights, not a complex copy of the table.
+    # A new time expands both packets from views of the real table, so it
+    # allocates about two packets and the state, not a copy of the table.
     _, t_rev = times
     model.phase_locked(0.4, t_rev / 8)
     tracemalloc.start()
     try:
-        model.phase_locked(0.4, t_rev / 8)
+        model.phase_locked(0.4, t_rev / 7)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < model.table.nbytes
+
+
+def _mix_coefficients(theta):
+    return 0.5 * (1.0 - np.exp(1j * theta)), 0.5 * (1.0 + np.exp(1j * theta))
+
+
+def test_phase_locked_same_bytes_after_other_times(model, times):
+    _, t_rev = times
+    theta, t = 0.9, 0.37 * t_rev
+    fresh = WavePacketModel(model.params, model.coeffs, model.x)
+    first = fresh.phase_locked(theta, t).psi.tobytes()
+    for other in (0.0, -0.0, t_rev / 8, t):
+        fresh.phase_locked(1.3, other)
+    assert fresh.phase_locked(theta, t).psi.tobytes() == first  # from the cache
+    fresh.phase_locked(theta, t_rev / 8)
+    again = fresh.phase_locked(theta, t).psi
+    assert again.tobytes() == first  # expanded anew
+    a, b = _mix_coefficients(theta)
+    mixed = a * fresh.subsidiary("even", t).psi + b * fresh.subsidiary("odd", t).psi
+    assert mixed.tobytes() == first
+    assert (fresh.subsidiary("odd", 0.0).psi.tobytes()
+            == WavePacketModel(model.params, model.coeffs, model.x).subsidiary("odd", -0.0).psi.tobytes())
+
+
+def test_cached_packets_are_read_only(model, times):
+    packet = model.subsidiary("even", times[1] / 8).psi
+    with pytest.raises(ValueError, match="read-only"):
+        packet[0] = 0.0
+
+
+def test_expansion_matches_the_complex_table_route(model, times):
+    # the route before the einsum expansion: all 24 level weights times the
+    # phases, contracted with a complex copy of the table
+    _, t_rev = times
+    table = model.table.astype(np.complex128)
+    even = np.zeros(model.energies.size)
+    even[0::2] = model.coeffs.even_amplitudes
+    odd = np.zeros(model.energies.size)
+    odd[1::2] = model.coeffs.odd_amplitudes
+    for theta in (0.0, 0.7, math.pi, 4.0):
+        a, b = _mix_coefficients(theta)
+        for t in (0.0, t_rev / 16, 0.37 * t_rev, -t_rev / 8):
+            old = ((a * even + b * odd) * np.exp(-1j * model.energies * t)) @ table
+            new = model.phase_locked(theta, t).psi
+            assert np.abs(new - old).max() <= 1e-14 * np.abs(old).max()
+
+
+def test_density_mirror_phase_is_time_reversal(model, times):
+    # real eigenfunctions: psi(theta, -t) = conj(psi(2*pi - theta, t))
+    _, t_rev = times
+    for theta in (0.3, math.pi / 4, 2.0, math.pi):
+        for t in (t_rev / 16, t_rev / 8, 0.37 * t_rev):
+            mirrored = model.density(2.0 * math.pi - theta, t)
+            reversed_ = model.density(theta, -t)
+            assert np.abs(mirrored - reversed_).max() <= 1e-14 * mirrored.max()
 
 
 def test_subsidiary_unknown_parity(model):
