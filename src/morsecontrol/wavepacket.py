@@ -204,7 +204,7 @@ class WavePacketModel:
         return StateGrid(x=self.x, psi=even if parity == "even" else odd, theta=None, t=t)
 
     def _mix(self, theta: float, t: float) -> tuple[float, np.ndarray]:
-        """theta reduced mod 2*pi, and psi of the mix at it."""
+        """theta reduced mod 2*pi, and psi of the mix at theta and t."""
         th = float(theta) % (2.0 * math.pi)
         a = 0.5 * (1.0 - np.exp(1j * th))
         b = 0.5 * (1.0 + np.exp(1j * th))

@@ -210,7 +210,7 @@ def wigner_transform(state: StateGrid, p: np.ndarray | None = None) -> WignerGri
         np.multiply(corr, seg, out=corr)
         packed, odd = corr[0::2], corr[1::2]
         work = buffers[1][:len(packed)]
-        shifted = work[:len(odd), :offsets.size]  # 1j*odd, before the transform needs work
+        shifted = work[:len(odd), :offsets.size]  # 1j*odd; the transform overwrites it
         np.multiply(1j, odd, out=shifted)
         np.add(packed[:len(odd)], shifted, out=packed[:len(odd)])
         pairs = transform(packed, work)

@@ -11,10 +11,11 @@ here. To record a deliberate move, rewrite the file with
 
 and name every file that moved. On another numpy or architecture the test
 skips and names the difference: floats from another FFT or another CPU say
-nothing about the change. The package calls no BLAS, so neither the BLAS
-library nor its thread count is part of the fingerprint;
-``test_digest_does_not_depend_on_blas_threads`` checks that they do not
-matter.
+nothing about the change. The BLAS library and its thread count are not
+part of the fingerprint: the package makes no BLAS call of its own (numpy's
+``convolve`` reaches ``cblas_ddot`` for short dot products), numpy's wheels
+bundle their BLAS, and ``test_digest_does_not_depend_on_blas_threads``
+checks that the thread count moves no byte.
 """
 
 import importlib.util
