@@ -144,17 +144,26 @@ def test_row_blocks_each_run_once_under_contention(monkeypatch):
             owners.setdefault(id(buffers), set()).add(threading.get_ident())
         seen.append(start)
 
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
+    def rounds():
         for _ in range(20):
             seen.clear()
             owners.clear()
             wigner._run_blocks(task, range(0, 1000, 7), lambda: [])
-            assert sorted(seen) == list(range(0, 1000, 7))
-            assert all(len(threads) == 1 for threads in owners.values())
+            results.append((sorted(seen) == list(range(0, 1000, 7)),
+                            all(len(threads) == 1 for threads in owners.values())))
+
+    results = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runner = threading.Thread(target=rounds, daemon=True)
+        runner.start()
+        runner.join(timeout=60)
     finally:
         sys.setswitchinterval(interval)
+    assert not runner.is_alive()
+    assert results == [(True, True)] * 20
+
 
 def test_normalization_and_purity(smoke_x):
     w = wigner_transform(gaussian_state(smoke_x), np.linspace(-6, 6, 128))
