@@ -82,6 +82,19 @@ class CoefficientSet:
         return self.even_amplitudes is not None and self.odd_amplitudes is not None
 
 
+def _check_uniform(x: np.ndarray) -> None:
+    """Raise GridError unless the 1-d grid x is strictly increasing, finite
+    and uniformly spaced."""
+    steps = np.diff(x)
+    if x.size < 2 or not np.all(steps > 0):
+        raise GridError("grid must be strictly increasing")
+    # Increasing, so finite if both ends are.
+    if not (math.isfinite(x[0]) and math.isfinite(x[-1])):
+        raise GridError("grid must be finite")
+    if not np.all(np.abs(steps - steps[0]) <= 1e-9 * steps[0]):
+        raise GridError("grid must be uniformly spaced")
+
+
 @dataclass(frozen=True, eq=False)
 class StateGrid:
     """Complex wave-function samples on a uniform position grid.
@@ -98,14 +111,17 @@ class StateGrid:
     def __post_init__(self) -> None:
         if self.x.ndim != 1 or self.x.size != self.psi.size:
             raise GridError("x and psi must be 1-d arrays of equal length")
-        steps = np.diff(self.x)
-        if self.x.size < 2 or not np.all(steps > 0):
-            raise GridError("grid must be strictly increasing")
-        # Increasing, so finite if both ends are.
-        if not (math.isfinite(self.x[0]) and math.isfinite(self.x[-1])):
-            raise GridError("grid must be finite")
-        if not np.all(np.abs(steps - steps[0]) <= 1e-9 * steps[0]):
-            raise GridError("grid must be uniformly spaced")
+        _check_uniform(self.x)
+
+    @classmethod
+    def _on_checked_grid(cls, x: np.ndarray, psi: np.ndarray, theta: float | None,
+                         t: float) -> "StateGrid":
+        """A state on a grid that has passed the checks of __post_init__
+        already, with psi of the same length, built without repeating them."""
+        state = object.__new__(cls)
+        for name, value in (("x", x), ("psi", psi), ("theta", theta), ("t", t)):
+            object.__setattr__(state, name, value)
+        return state
 
     @property
     def dx(self) -> float:
@@ -149,7 +165,10 @@ PAPER_STATES = (
 class WavePacketModel:
     """Eigenbasis expansion engine for the phase-locked packet family.
 
-    Precomputes the real eigenfunction table and the level energies once.
+    Checks the position grid once, as StateGrid would, and keeps a
+    read-only copy of it as ``x``; the states it builds share that copy and
+    skip the checks. Precomputes the real eigenfunction table and the level
+    energies once.
     Every state at time t mixes the even and odd packets at t, which the
     model keeps for the last t it was asked for, read-only: a carpet or a
     theta scan at one time expands each packet once. Each packet sums its
@@ -164,9 +183,14 @@ class WavePacketModel:
             raise InvalidParameterError(
                 f"{n_levels} levels requested but only {params.bound_state_count} are bound"
             )
+        x = np.array(x_grid, dtype=float)
+        if x.ndim != 1:
+            raise GridError("grid must be a 1-d array")
+        _check_uniform(x)
+        x.flags.writeable = False
         self.params = params
         self.coeffs = coeffs
-        self.x = np.asarray(x_grid, dtype=float)
+        self.x = x
         self.table = eigenfunction_table(params, n_levels, self.x)
         self.energies = energies(params, n_levels)
         self._parities = {"even": (slice(0, None, 2), coeffs.even_amplitudes),
@@ -201,7 +225,7 @@ class WavePacketModel:
         if parity not in self._parities:
             raise InvalidParameterError(f"parity must be 'even' or 'odd', got {parity!r}")
         even, odd = self._packets(t)
-        return StateGrid(x=self.x, psi=even if parity == "even" else odd, theta=None, t=t)
+        return StateGrid._on_checked_grid(self.x, even if parity == "even" else odd, None, t)
 
     def _mix(self, theta: float, t: float) -> tuple[float, np.ndarray]:
         """theta reduced mod 2*pi, and psi of the mix at theta and t."""
@@ -217,7 +241,7 @@ class WavePacketModel:
         theta is reduced mod 2*pi; the analytic norm is exactly 1.
         """
         th, psi = self._mix(theta, t)
-        return StateGrid(x=self.x, psi=psi, theta=th, t=t)
+        return StateGrid._on_checked_grid(self.x, psi, th, t)
 
     def density(self, theta: float, t: float) -> np.ndarray:
         """|state(theta, t)|^2 on the position grid, without building the state."""

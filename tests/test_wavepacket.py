@@ -257,6 +257,20 @@ def test_state_grid_validation():
                       theta=None, t=0.0)
 
 
+def test_model_checks_its_grid_once_and_keeps_it_read_only(model):
+    x = np.linspace(2.0, 4.0, 256)
+    for bad, message in ((x**2, "uniformly spaced"), (x[::-1], "strictly increasing"),
+                         (np.append(x[:-1], np.inf), "finite")):
+        with pytest.raises(GridError, match=message):
+            WavePacketModel(model.params, model.coeffs, bad)
+    assert not model.x.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        model.x[0] = 0.0
+    # the model's states share its checked grid instead of checking a copy
+    assert model.phase_locked(0.3, 0.0).x is model.x
+    assert model.subsidiary("even", 0.0).x is model.x
+
+
 def test_density_equals_state_density(model, times):
     _, t_rev = times
     for theta in (0.0, 0.3, math.pi, 5.0, -1.0, 7.0):
