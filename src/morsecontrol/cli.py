@@ -4,7 +4,10 @@ Every command reads one RunConfig (defaults, then --config file, then --set
 overrides, then the MORSECONTROL_WORKERS environment variable), computes pure
 results, and serializes them with fixed formatting so identical
 configurations produce byte-identical files; CSV lines go to disk as they are
-formatted. Files are written under
+formatted. The rows of a 2-d grid CSV (``wigner``, ``carpet``) are cut into
+one span per CPU the row-block threads use; each span after the first is
+formatted by a forked child into a hidden part file that the command then
+appends in order, so the bytes are those of one writer. Files are written under
 temporary names and moved into place only when the whole command succeeds,
 so a failed or interrupted run leaves the output directory as it was; exit
 codes are 0 (ok), 1 (bad input), 2 (internal error).
@@ -15,9 +18,12 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import shutil
+import signal
 import sys
 import traceback
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
+from functools import partial
 from itertools import chain
 from pathlib import Path
 
@@ -31,7 +37,7 @@ from .errors import ConfigError, RangeAliasingError, TruncationError
 from .gridfile import GridFile, write_grid
 from .morse import MorseParams, characteristic_times, eigenfunction_with_capture, eigenstate
 from .wavepacket import WavePacketModel
-from .wigner import lobe_count, wigner_transform
+from .wigner import _worker_count, lobe_count, wigner_transform
 
 THETA_LABELS = ("0", "pi/8", "pi/4", "3pi/8", "pi/2", "5pi/8", "3pi/4", "7pi/8", "pi")
 THETA_ROW = tuple(k * math.pi / 8.0 for k in range(9))
@@ -168,7 +174,85 @@ def _write_grid_files(ws: _Workspace, out: _Outputs, stem: str, axes: tuple[np.n
         **meta,
     }
     write_grid(out.path(f"{stem}.wgrd"), GridFile(axes=axes, payload=values, meta=meta))
-    out.csv(f"{stem}.csv", chain(ws.header(*header), _grid_lines(ws, *axes, values)))
+    _write_grid_csv(ws, out.path(f"{stem}.csv"), ws.header(*header), *axes, values)
+
+
+def _write_grid_csv(ws: _Workspace, path: Path, header: list[str], row_axis: np.ndarray,
+                    col_axis: np.ndarray, values: np.ndarray) -> None:
+    """``header`` and the ``_grid_lines`` of a 2-d grid, written to ``path``.
+
+    The rows are cut into ``_worker_count()`` contiguous spans. Each span
+    after the first is formatted by a forked child into the part file
+    ``path``.k; this process writes the header and the first span to
+    ``path``, then appends each child's part in order. No text is held in
+    memory. Raises RuntimeError if a child fails. Whatever happens, every
+    child is reaped and every part deleted before this returns or raises.
+    """
+    n_rows = len(row_axis)
+    n_spans = max(1, min(_worker_count(), n_rows)) if hasattr(os, "fork") else 1
+    bounds = [n_rows * k // n_spans for k in range(n_spans + 1)]
+
+    def span(k: int):
+        rows = slice(bounds[k], bounds[k + 1])
+        return _grid_lines(ws, row_axis[rows], col_axis, values[rows])
+
+    children: list[tuple[int, Path]] = []
+    try:
+        # The row-block thread pools have shut down by now, so this process
+        # runs no thread of the package's own; a child only formats and
+        # writes text, with no BLAS call and no lock. SIGINT stays blocked
+        # until every child is recorded here and is inside _write_part.
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT}) if n_spans > 1 else None
+        try:
+            for k in range(1, n_spans):
+                part = path.with_name(f"{path.name}.{k}")
+                pid = os.fork()
+                if pid == 0:
+                    _write_part(part, partial(span, k), mask)
+                children.append((pid, part))
+        finally:
+            if mask is not None:
+                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        _write_lines(path, chain(header, span(0)))
+        for k, (pid, part) in enumerate(children, start=1):
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            if code != 0:
+                raise RuntimeError(f"formatting rows {bounds[k]} to {bounds[k + 1] - 1} "
+                                   f"of {path.name} failed in process {pid} (exit {code})")
+            with open(part, "rb") as src, open(path, "ab") as dst:
+                shutil.copyfileobj(src, dst)
+    finally:
+        for pid, part in children:
+            _stop(pid)
+            part.unlink(missing_ok=True)
+
+
+def _write_part(path: Path, lines: Callable[[], Iterable[str]],
+                mask: set[signal.Signals]) -> None:
+    """In a forked child: restore the signal ``mask``, write ``lines()`` to
+    ``path`` and leave through os._exit, with status 1 and the traceback on
+    stderr if anything fails. Never returns, so the child never runs its
+    parent's code."""
+    code = 1
+    try:
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        _write_lines(path, lines())
+        code = 0
+    except BaseException:
+        traceback.print_exc()
+        sys.stderr.flush()
+    finally:
+        os._exit(code)
+
+
+def _stop(pid: int) -> None:
+    """Kill and reap the child ``pid`` unless it has been reaped already."""
+    try:
+        if os.waitpid(pid, os.WNOHANG)[0] == 0:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    except ChildProcessError:
+        pass
 
 
 def _lattice(ws: _Workspace):

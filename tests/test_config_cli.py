@@ -1,4 +1,5 @@
 import math
+import os
 import re
 import tracemalloc
 from dataclasses import replace
@@ -9,6 +10,7 @@ import pytest
 from morsecontrol import (I2, RunConfig, auto_momentum_grid, characteristic_times,
                           fringe_amplitude, lobe_count, parse_config, read_grid,
                           uncertainties, wigner_transform)
+from morsecontrol import cli
 from morsecontrol.cli import COMMANDS, main
 from morsecontrol.config import (apply_overrides, config_times, parse_angle, parse_fraction,
                                  validate_config)
@@ -473,6 +475,91 @@ def test_interrupt_mid_write_leaves_no_file(tmp_path, monkeypatch, target):
     with pytest.raises(KeyboardInterrupt):
         run_cli(["wigner", "--outdir", str(tmp_path), "--set", "theta=pi/2"] + BASE)
     assert list(tmp_path.iterdir()) == []
+
+
+def _files(directory):
+    return {p.name: p.read_bytes() for p in directory.iterdir()}
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("fmt", ["full", "compact"])
+def test_grid_csvs_same_bytes_at_any_process_count(tmp_path, monkeypatch, fmt):
+    runs = (["wigner", "--set", "theta=0,pi/2", "--set", "t_frac=1/8"],
+            ["carpet", "--set", "theta_count=9", "--set", "t_frac=1/16"])
+
+    def outputs(processes):
+        monkeypatch.setattr(cli, "_worker_count", lambda: processes)
+        outdir = tmp_path / str(processes)
+        for args in runs:
+            assert run_cli(args + ["--outdir", str(outdir), "--set", f"format={fmt}"] + BASE) == 0
+        return _files(outdir)
+
+    serial = outputs(1)
+    assert sorted(serial) == ["carpet.csv", "carpet.wgrd", "wigner_000.csv", "wigner_000.wgrd",
+                              "wigner_001.csv", "wigner_001.wgrd"]
+    for processes in (2, 3):
+        assert outputs(processes) == serial
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, 2, 3])
+def test_grid_csv_with_fewer_rows_than_processes(tmp_path, monkeypatch, n_rows):
+    ws = cli._Workspace(validate_config(RunConfig()))
+    rows, cols = np.arange(n_rows) * 0.1, np.array([-1.0, 0.5, 2.0])
+    values = np.arange(n_rows * cols.size).reshape(n_rows, cols.size) / 7.0
+    written = {}
+    for processes in (1, 4):
+        monkeypatch.setattr(cli, "_worker_count", lambda: processes)
+        path = tmp_path / f"{processes}.csv"
+        cli._write_grid_csv(ws, path, ["x,p,w"], rows, cols, values)
+        written[processes] = path.read_bytes()
+    assert written[4] == written[1]
+    assert written[1].count(b"\n") == 1 + n_rows * cols.size
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["1.csv", "4.csv"]
+    _assert_no_child_left()
+
+
+def test_failed_csv_process_keeps_previous_files(tmp_path, monkeypatch, capfd):
+    args = ["wigner", "--outdir", str(tmp_path), "--set", "theta=pi/2"] + BASE
+    assert run_cli(args) == 0
+    before = _files(tmp_path)
+    parent, grid_lines = os.getpid(), cli._grid_lines
+
+    def failing_in_child(*grid):
+        if os.getpid() != parent:
+            raise RuntimeError("row formatting broke")
+        yield from grid_lines(*grid)
+
+    monkeypatch.setattr(cli, "_worker_count", lambda: 3)
+    monkeypatch.setattr(cli, "_grid_lines", failing_in_child)
+    assert run_cli(args + ["--set", "format=compact"]) == 2
+    err = capfd.readouterr().err
+    assert "RuntimeError: row formatting broke" in err
+    assert "of .wigner_000.csv" in err and "(exit 1)" in err
+    assert _files(tmp_path) == before
+    _assert_no_child_left()
+
+
+def test_interrupt_in_own_span_leaves_nothing(tmp_path, monkeypatch):
+    parent, grid_lines = os.getpid(), cli._grid_lines
+
+    def interrupted_in_parent(*grid):
+        lines = grid_lines(*grid)
+        if os.getpid() == parent:
+            yield next(lines)
+            raise KeyboardInterrupt
+        yield from lines
+
+    monkeypatch.setattr(cli, "_worker_count", lambda: 3)
+    monkeypatch.setattr(cli, "_grid_lines", interrupted_in_parent)
+    with pytest.raises(KeyboardInterrupt):
+        run_cli(["wigner", "--outdir", str(tmp_path), "--set", "theta=pi/2"] + BASE)
+    assert list(tmp_path.iterdir()) == []
+    _assert_no_child_left()
 
 
 def test_wigner_command_peak_memory_stays_near_the_grid(tmp_path):

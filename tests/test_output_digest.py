@@ -15,7 +15,10 @@ nothing about the change. The BLAS library and its thread count are not
 part of the fingerprint: the package makes no BLAS call of its own (numpy's
 ``convolve`` reaches ``cblas_ddot`` for short dot products), numpy's wheels
 bundle their BLAS, and ``test_digest_does_not_depend_on_blas_threads``
-checks that the thread count moves no byte.
+checks that the thread count moves no byte. Nor is the CPU count:
+``test_digest_does_not_depend_on_cpu_count`` checks that one CPU, which
+runs the row blocks in one thread and writes each grid CSV from one
+process, moves no byte either.
 """
 
 import importlib.util
@@ -93,14 +96,27 @@ def test_outputs_match_recorded_digest(settings):
     assert lines == expected, f"output bytes or exit codes moved: {', '.join(moved)}"
 
 
-def test_digest_does_not_depend_on_blas_threads():
-    settings = list(GRID + CONFIGS[0])
+def _digest_in_subprocess(settings: list[str], **kwargs) -> list[str]:
     argv = [sys.executable, str(ROOT / "scripts" / "output_digest.py")]
     for item in settings:
         argv += ["--set", item]
+    run = subprocess.run(argv, capture_output=True, text=True, timeout=300, check=True, **kwargs)
+    return run.stdout.splitlines()
+
+
+def test_digest_does_not_depend_on_blas_threads():
+    settings = list(GRID + CONFIGS[0])
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
-    single = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=300, check=True)
-    assert single.stdout.splitlines() == digest(settings)
+    assert _digest_in_subprocess(settings, env=env) == digest(settings)
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity call here")
+def test_digest_does_not_depend_on_cpu_count():
+    # One CPU runs the row blocks in one thread and each grid CSV in one process.
+    settings = list(GRID + CONFIGS[0])
+    cpu = min(os.sched_getaffinity(0))
+    one_cpu = _digest_in_subprocess(settings, preexec_fn=lambda: os.sched_setaffinity(0, {cpu}))
+    assert one_cpu == digest(settings)
 
 
 if __name__ == "__main__":
