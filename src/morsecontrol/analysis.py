@@ -14,8 +14,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .czt import CZT
-from .errors import InvalidParameterError, TruncationError
-from .wavepacket import StateGrid, WavePacketModel
+from .errors import GridError, InvalidParameterError, TruncationError
+from .wavepacket import StateGrid, WavePacketModel, _check_uniform
 from .wigner import auto_momentum_grid, spectral_moments, wigner_overlap, wigner_transform
 
 OVERLAP_ZERO_LEVEL = 1e-2
@@ -46,6 +46,15 @@ class CarpetGrid:
     density: np.ndarray
 
 
+def _trapezoid(y: np.ndarray, steps: np.ndarray) -> float:
+    """Trapezoid integral of y over a 1-d grid whose steps are ``np.diff(x)``.
+
+    The operations of ``np.trapezoid(y, x)`` in its order, so the same bits,
+    with the steps computed once by the caller.
+    """
+    return float((steps * (y[1:] + y[:-1]) / 2.0).sum())
+
+
 def uncertainties(state: StateGrid) -> tuple[float, float]:
     """(position spread, momentum spread) of a normalized state.
 
@@ -53,11 +62,13 @@ def uncertainties(state: StateGrid) -> tuple[float, float]:
     squared DFT spectrum, exact by discrete Parseval.
     """
     rho = state.density
-    norm = float(np.trapezoid(rho, state.x))
+    x = state.x
+    steps = np.diff(x)
+    norm = _trapezoid(rho, steps)
     if norm == 0.0:
         raise InvalidParameterError("state has zero norm")
-    mean_x = float(np.trapezoid(state.x * rho, state.x)) / norm
-    second_x = float(np.trapezoid(state.x * state.x * rho, state.x)) / norm
+    mean_x = _trapezoid(x * rho, steps) / norm
+    second_x = _trapezoid(x * x * rho, steps) / norm
     dx_spread = math.sqrt(max(second_x - mean_x * mean_x, 0.0))
     _, dp_spread = spectral_moments(state)
     return dx_spread, dp_spread
@@ -140,28 +151,39 @@ def fringe_amplitude(density: np.ndarray, x_grid: np.ndarray, r0: float) -> floa
     """Amplitude of the strongest spatial interference-fringe cluster.
 
     A moving-average background (window tied to the median spacing of the
-    density maxima, floored at 0.02 in x) is subtracted; runs of alternating
-    residual extrema inside a 0.05-wide stretch qualify as fringes when they are
-    at least FRINGE_MIN_EXTREMA long with adjacent swings balanced within
-    FRINGE_SWING_BALANCE, which rejects lone packet spikes and the decaying
-    ripple train against the steep inner wall. The score is half the largest
+    density maxima, floored at 0.02 in x; the density is mirrored at both
+    ends, and each window sum is a difference of one sequential running sum)
+    is subtracted; runs of alternating residual extrema inside a 0.05-wide
+    stretch qualify as fringes when they are at least FRINGE_MIN_EXTREMA long
+    with adjacent swings balanced within FRINGE_SWING_BALANCE, which rejects
+    lone packet spikes and the decaying ripple train against the steep inner
+    wall. The score is half the largest
     peak-to-adjacent-trough range in a qualifying run; 0 when no run
     qualifies. Reported per atomic unit of internuclear distance, i.e.
-    divided by r0, which must be positive and finite.
+    divided by r0, which must be positive and finite. Raises GridError
+    unless density and x_grid are 1-d with at least 3 samples and x_grid is
+    strictly increasing, finite and uniform.
     """
     if not 0.0 < r0 < math.inf:
         raise InvalidParameterError(f"r0 must be positive and finite, got {r0!r}")
     density = np.asarray(density, dtype=float)
     x = np.asarray(x_grid, dtype=float)
+    if density.ndim != 1 or x.ndim != 1:
+        raise GridError(
+            f"density and x_grid must be 1-d, got {density.ndim}-d and {x.ndim}-d")
+    if min(density.size, x.size) < 3:
+        raise GridError(
+            f"density and x_grid need at least 3 samples, got {density.size} and {x.size}")
     if density.shape != x.shape:
         raise InvalidParameterError(
             f"density has {density.size} samples but x_grid has {x.size}")
-    total = float(np.trapezoid(density, x))
+    steps = _check_uniform(x)
+    total = _trapezoid(density, steps)
     if not math.isfinite(total):
         raise InvalidParameterError(f"density integral in x is {total}, not finite")
     if abs(total - 1.0) > 1e-3:
         raise InvalidParameterError(f"density must be normalized in x, integral is {total:.6g}")
-    dx = float(x[1] - x[0])
+    dx = float(steps[0])
 
     interior = density[1:-1]
     is_max = (interior > density[:-2]) & (interior > density[2:]) & (
@@ -177,9 +199,10 @@ def fringe_amplitude(density: np.ndarray, x_grid: np.ndarray, r0: float) -> floa
         window = FRINGE_WINDOW_FLOOR
     half = max(int(round(0.5 * window / dx)), 1)
     half = min(half, density.size - 1)
-    padded = np.concatenate([density[half:0:-1], density, density[-2:-half - 2:-1]])
-    kernel = np.full(2 * half + 1, 1.0 / (2 * half + 1))
-    background = np.convolve(padded, kernel, mode="valid")
+    width = 2 * half + 1
+    running = np.cumsum(np.concatenate(
+        [[0.0], density[half:0:-1], density, density[-2:-half - 2:-1]]))
+    background = (running[width:] - running[:-width]) * (1.0 / width)
     residual = density - background
 
     spread = float(residual.max() - residual.min())

@@ -82,9 +82,9 @@ class CoefficientSet:
         return self.even_amplitudes is not None and self.odd_amplitudes is not None
 
 
-def _check_uniform(x: np.ndarray) -> None:
-    """Raise GridError unless the 1-d grid x is strictly increasing, finite
-    and uniformly spaced."""
+def _check_uniform(x: np.ndarray) -> np.ndarray:
+    """The steps ``np.diff(x)`` of the 1-d grid x; raise GridError unless x
+    is strictly increasing, finite and uniformly spaced."""
     steps = np.diff(x)
     if x.size < 2 or not np.all(steps > 0):
         raise GridError("grid must be strictly increasing")
@@ -93,6 +93,7 @@ def _check_uniform(x: np.ndarray) -> None:
         raise GridError("grid must be finite")
     if not np.all(np.abs(steps - steps[0]) <= 1e-9 * steps[0]):
         raise GridError("grid must be uniformly spaced")
+    return steps
 
 
 @dataclass(frozen=True, eq=False)

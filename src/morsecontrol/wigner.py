@@ -19,6 +19,7 @@ same at any thread count, so the results are too.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import threading
@@ -63,6 +64,16 @@ class WignerGrid:
         return float(self.p[1] - self.p[0])
 
 
+@functools.lru_cache(maxsize=8)
+def _momentum_bins(n: int, dx: float) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only DFT momentum bins 2*pi*fftfreq(n, dx) and their squares."""
+    p_bins = 2.0 * math.pi * np.fft.fftfreq(n, d=dx)
+    p_squared = p_bins * p_bins
+    p_bins.flags.writeable = False
+    p_squared.flags.writeable = False
+    return p_bins, p_squared
+
+
 def spectral_moments(state: StateGrid) -> tuple[float, float]:
     """(mean, standard deviation) of the state's momentum distribution via DFT.
 
@@ -72,14 +83,19 @@ def spectral_moments(state: StateGrid) -> tuple[float, float]:
     psi = state.psi
     n = psi.size
     dx = state.dx
-    spectrum = np.abs(np.fft.fft(psi)) ** 2 * dx * dx / (2.0 * math.pi)
-    p_bins = 2.0 * math.pi * np.fft.fftfreq(n, d=dx)
+    # |fft|^2 * dx * dx / (2*pi), in place, in that order
+    spectrum = np.abs(np.fft.fft(psi))
+    np.square(spectrum, out=spectrum)
+    spectrum *= dx
+    spectrum *= dx
+    spectrum /= 2.0 * math.pi
+    p_bins, p_squared = _momentum_bins(n, dx)
     dp = 2.0 * math.pi / (n * dx)
     total = float(np.sum(spectrum) * dp)
     if total == 0.0:
         raise InvalidParameterError("state has zero norm")
     mean = float(np.sum(p_bins * spectrum) * dp) / total
-    second = float(np.sum(p_bins * p_bins * spectrum) * dp) / total
+    second = float(np.sum(p_squared * spectrum) * dp) / total
     return mean, math.sqrt(max(second - mean * mean, 0.0))
 
 

@@ -99,13 +99,26 @@ def loop_alternating_extrema():
     return _loop_alternating_extrema
 
 
-def _loop_fringe_amplitude(density, x, r0):
+def _loop_moving_average(padded, half):
+    """Means of the 2*half + 1 wide windows of ``padded``, each the
+    difference of a running sum built by one sequential loop from 0."""
+    width = 2 * half + 1
+    running = [0.0]
+    for value in padded.tolist():
+        running.append(running[-1] + value)
+    return np.array([(running[i + width] - running[i]) * (1.0 / width)
+                     for i in range(len(running) - width)])
+
+
+def _loop_fringe_amplitude(density, x, r0, moving_average=_loop_moving_average):
     """Fringe amplitude by the element-by-element loops on float64 values.
 
     The same background, hysteresis and run tests as ``fringe_amplitude``,
-    written as one loop over the residual (``_loop_alternating_extrema``) and
-    one over the windows of FRINGE_MIN_EXTREMA extrema, with ``np.median``
-    for the spacing of the maxima: the oracle for the turn scan, the list
+    written as one running-sum loop for the background
+    (``moving_average(padded, half)``), one loop over the residual
+    (``_loop_alternating_extrema``) and one over the windows of
+    FRINGE_MIN_EXTREMA extrema, with ``np.median`` for the spacing of the
+    maxima: the oracle for the cumulative sum, the turn scan, the list
     median and the vectorised run scoring.
     """
     density = np.asarray(density, dtype=float)
@@ -123,8 +136,7 @@ def _loop_fringe_amplitude(density, x, r0):
         window = FRINGE_WINDOW_FLOOR
     half = min(max(int(round(0.5 * window / dx)), 1), density.size - 1)
     padded = np.concatenate([density[half:0:-1], density, density[-2:-half - 2:-1]])
-    kernel = np.full(2 * half + 1, 1.0 / (2 * half + 1))
-    residual = density - np.convolve(padded, kernel, mode="valid")
+    residual = density - moving_average(padded, half)
 
     spread = float(residual.max() - residual.min())
     extrema = _loop_alternating_extrema(residual, FRINGE_NOISE_REL * spread)

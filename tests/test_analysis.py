@@ -23,7 +23,7 @@ from morsecontrol import (
 from morsecontrol import analysis
 from morsecontrol.analysis import _alternating_extrema
 from morsecontrol.cli import THETA_ROW
-from morsecontrol.errors import InvalidParameterError, TruncationError
+from morsecontrol.errors import GridError, InvalidParameterError, TruncationError
 
 
 def gaussian_state(x, x0=0.0, p0=0.0, sigma=0.7):
@@ -117,6 +117,21 @@ def test_fringe_amplitude_rejects_mismatched_lengths(toy_x):
     density /= np.trapezoid(density, toy_x)
     with pytest.raises(InvalidParameterError, match="1024 samples but x_grid has 1023"):
         fringe_amplitude(density, toy_x[:-1], 1.0)
+
+
+@pytest.mark.parametrize("density, x, message", [
+    (np.ones((2, 8)), np.linspace(0.0, 1.0, 8), "1-d"),
+    (np.ones(8), np.linspace(0.0, 1.0, 16).reshape(2, 8), "1-d"),
+    (np.ones(1), np.zeros(1), "at least 3 samples"),
+    (np.ones(2), np.array([0.0, 1.0]), "at least 3 samples"),
+    (np.ones(8), np.array([0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 6.5]), "uniformly spaced"),
+    (np.ones(8), np.linspace(1.0, 0.0, 8), "strictly increasing"),
+    (np.ones(8), np.append(np.linspace(0.0, 1.0, 7), math.inf), "finite"),
+    (np.ones(8), np.append(np.linspace(0.0, 1.0, 7), math.nan), "strictly increasing"),
+])
+def test_fringe_amplitude_rejects_unusable_grid(density, x, message):
+    with pytest.raises(GridError, match=message):
+        fringe_amplitude(density, x, 1.0)
 
 
 @pytest.mark.parametrize("r0", [0.0, -2.0, math.nan])
@@ -293,23 +308,60 @@ def test_carpet_rows_equal_phase_locked_densities(model, times):
             assert np.array_equal(row, model.phase_locked(theta, t).density)
 
 
-def test_fringe_amplitude_matches_loop_oracle(model, times, loop_fringe_amplitude):
-    from morsecontrol import I2
-
+@pytest.fixture(scope="module")
+def fringe_lattice(model, times):
+    """Densities on a stratified seeded theta x t lattice plus the Table-1 row."""
     _, t_rev = times
     rng = np.random.default_rng(11)
     thetas = 2.0 * math.pi * (np.arange(27) + rng.random(27)) / 27
     t_fracs = 0.25 * (np.arange(14) + rng.random(14)) / 14
     lattice = [(theta, frac * t_rev) for theta in thetas for frac in (0.0, *t_fracs)]
     table1_row = [(theta, t_rev / 8) for theta in THETA_ROW]
+    return [model.density(theta, t) for theta, t in lattice + table1_row]
+
+
+def test_fringe_amplitude_matches_loop_oracle(model, fringe_lattice, loop_fringe_amplitude):
+    from morsecontrol import I2
+
     values = []
-    for theta, t in lattice + table1_row:
-        density = model.density(theta, t)
+    for density in fringe_lattice:
         value = fringe_amplitude(density, model.x, I2.r0)
         assert type(value) is float
         assert value == loop_fringe_amplitude(density, model.x, I2.r0)
         values.append(value)
     assert 0.0 in values and any(v > 0.0 for v in values)
+
+
+def _convolve_moving_average(padded, half):
+    kernel = np.full(2 * half + 1, 1.0 / (2 * half + 1))
+    return np.convolve(padded, kernel, mode="valid")
+
+
+def test_fringe_amplitude_close_to_convolve_background(model, fringe_lattice,
+                                                       loop_fringe_amplitude):
+    # The background was np.convolve with a flat kernel, whose dot products
+    # sum in the order of the BLAS kernel; the running sum moves the
+    # amplitudes at rounding level only, and zeroes none.
+    from morsecontrol import I2
+
+    for density in fringe_lattice:
+        value = fringe_amplitude(density, model.x, I2.r0)
+        before = loop_fringe_amplitude(density, model.x, I2.r0, _convolve_moving_average)
+        assert (value == 0.0) == (before == 0.0)
+        assert value == pytest.approx(before, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_trapezoid_equals_numpy(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 3000))
+    y = rng.standard_normal(n) * 10.0 ** rng.uniform(-5, 5, n)
+    uniform = np.linspace(-rng.random(), 1.0 + rng.random(), n)
+    ragged = np.cumsum(rng.random(n)) - 0.5 * n
+    for x in (uniform, ragged):
+        value = analysis._trapezoid(y, np.diff(x))
+        assert type(value) is float
+        assert value == float(np.trapezoid(y, x))
 
 
 def test_carpet_t0_rows_have_no_fringes(model):

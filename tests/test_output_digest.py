@@ -9,13 +9,15 @@ here. To record a deliberate move, rewrite the file with
 
     PYTHONPATH=src python tests/test_output_digest.py
 
-and name every file that moved. On another numpy or architecture the test
-skips and names the difference: floats from another FFT or another CPU say
-nothing about the change. The BLAS library and its thread count are not
-part of the fingerprint: the package makes no BLAS call of its own (numpy's
-``convolve`` reaches ``cblas_ddot`` for short dot products), numpy's wheels
-bundle their BLAS, and ``test_digest_does_not_depend_on_blas_threads``
-checks that the thread count moves no byte. Nor is the CPU count:
+and name every file that moved. On another numpy, architecture or set of
+SIMD extensions that numpy dispatches to at run time, the test skips and
+names the difference: floats from another FFT or other vector loops say
+nothing about the change. The BLAS library, its kernel and its thread count
+are not part of the fingerprint: the package makes no BLAS call, directly or
+through numpy. ``test_digest_does_not_depend_on_blas_threads`` and
+``test_digest_does_not_depend_on_blas_kernel`` check that one BLAS thread,
+and OpenBLAS's Haswell kernel (the one an AVX2-only CPU gets), move no
+byte. Nor is the CPU count:
 ``test_digest_does_not_depend_on_cpu_count`` checks that one CPU, which
 runs the row blocks in one thread and writes each grid CSV from one
 process, moves no byte either.
@@ -49,7 +51,8 @@ digest = _script.digest
 
 
 def fingerprint() -> dict[str, str]:
-    return {"numpy": np.__version__, "machine": platform.machine()}
+    simd = np.show_config(mode="dicts")["SIMD Extensions"]["found"]
+    return {"numpy": np.__version__, "machine": platform.machine(), "simd": " ".join(simd)}
 
 
 def _key(settings: tuple[str, ...]) -> str:
@@ -107,6 +110,12 @@ def _digest_in_subprocess(settings: list[str], **kwargs) -> list[str]:
 def test_digest_does_not_depend_on_blas_threads():
     settings = list(GRID + CONFIGS[0])
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    assert _digest_in_subprocess(settings, env=env) == digest(settings)
+
+
+def test_digest_does_not_depend_on_blas_kernel():
+    settings = list(GRID + CONFIGS[0])
+    env = dict(os.environ, OPENBLAS_CORETYPE="Haswell")
     assert _digest_in_subprocess(settings, env=env) == digest(settings)
 
 

@@ -218,6 +218,39 @@ def test_auto_momentum_grid_spans_spectrum(smoke_x):
     assert p[0] == -p[-1]
 
 
+def _expression_spectral_moments(state):
+    """The moments as one expression per sum, with fresh bins every call."""
+    n, dx = state.psi.size, state.dx
+    spectrum = np.abs(np.fft.fft(state.psi)) ** 2 * dx * dx / (2.0 * math.pi)
+    p_bins = 2.0 * math.pi * np.fft.fftfreq(n, d=dx)
+    dp = 2.0 * math.pi / (n * dx)
+    total = float(np.sum(spectrum) * dp)
+    mean = float(np.sum(p_bins * spectrum) * dp) / total
+    second = float(np.sum(p_bins * p_bins * spectrum) * dp) / total
+    return mean, math.sqrt(max(second - mean * mean, 0.0))
+
+
+def test_spectral_moments_equal_expression_oracle(model, times):
+    _, t_rev = times
+    rng = np.random.default_rng(5)
+    for theta in 2.0 * math.pi * (np.arange(9) + rng.random(9)) / 9:
+        for frac in (0.0, *(0.25 * (np.arange(6) + rng.random(6)) / 6)):
+            state = model.phase_locked(float(theta), float(frac) * t_rev)
+            assert spectral_moments(state) == _expression_spectral_moments(state)
+
+
+def test_cached_momentum_bins_are_read_only(smoke_x):
+    spectral_moments(gaussian_state(smoke_x))
+    n, dx = smoke_x.size, float(smoke_x[1] - smoke_x[0])
+    p_bins, p_squared = wigner._momentum_bins(n, dx)
+    assert wigner._momentum_bins(n, dx)[0] is p_bins
+    for bins in (p_bins, p_squared):
+        assert not bins.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            bins[0] = 1.0
+    assert np.array_equal(p_squared, p_bins * p_bins)
+
+
 def test_momentum_grid_must_cover_spectrum(smoke_x):
     state = gaussian_state(smoke_x, p0=5.0, sigma=0.5)
     with pytest.raises(AliasingError, match="spectral content"):
