@@ -157,12 +157,11 @@ def fringe_amplitude(density: np.ndarray, x_grid: np.ndarray, r0: float) -> floa
     stretch qualify as fringes when they are at least FRINGE_MIN_EXTREMA long
     with adjacent swings balanced within FRINGE_SWING_BALANCE, which rejects
     lone packet spikes and the decaying ripple train against the steep inner
-    wall. The score is half the largest
-    peak-to-adjacent-trough range in a qualifying run; 0 when no run
-    qualifies. Reported per atomic unit of internuclear distance, i.e.
-    divided by r0, which must be positive and finite. Raises GridError
-    unless density and x_grid are 1-d with at least 3 samples and x_grid is
-    strictly increasing, finite and uniform.
+    wall. The score is half the largest peak-to-adjacent-trough range in a
+    qualifying run; 0 when no run qualifies. Reported per atomic unit of
+    internuclear distance, i.e. divided by r0, which must be positive and
+    finite. Raises GridError unless density and x_grid are 1-d with at least
+    3 samples and x_grid is strictly increasing, finite and uniform.
     """
     if not 0.0 < r0 < math.inf:
         raise InvalidParameterError(f"r0 must be positive and finite, got {r0!r}")
