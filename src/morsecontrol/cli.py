@@ -3,14 +3,18 @@
 Every command reads one RunConfig (defaults, then --config file, then --set
 overrides, then the MORSECONTROL_WORKERS environment variable), computes pure
 results, and serializes them with fixed formatting so identical
-configurations produce byte-identical files; CSV lines go to disk as they are
-formatted. The rows of a 2-d grid CSV (``wigner``, ``carpet``) are cut into
-one span per CPU the row-block threads use; each span after the first is
-formatted by a forked child into a hidden part file that the command then
-appends in order, so the bytes are those of one writer. Files are written under
-temporary names and moved into place only when the whole command succeeds,
-so a failed or interrupted run leaves the output directory as it was; exit
-codes are 0 (ok), 1 (bad input), 2 (internal error).
+configurations produce byte-identical files: every float is the text of
+``format(v, ".17g")``, or ``".9g"`` under ``format=compact``. CSV lines go
+to disk as they are formatted. A 2-d grid CSV (``wigner``, ``carpet``) is
+formatted in blocks of whole grid rows, a few thousand values each, by the
+array formatter of ``textfmt``, which gives the same bytes. Its rows are cut
+into one span per CPU the row-block threads use; each span after the first
+is formatted by a forked child into a hidden part file that the command
+then appends in order, so the bytes are those of one writer. Files are
+written under temporary names and moved into place only when the whole
+command succeeds, so a failed or interrupted run leaves the output
+directory as it was; exit codes are 0 (ok), 1 (bad input), 2 (internal
+error).
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ from .config import (RunConfig, apply_environment, apply_overrides, build_model,
 from .errors import ConfigError, RangeAliasingError, TruncationError
 from .gridfile import GridFile, write_grid
 from .morse import MorseParams, characteristic_times, eigenfunction_with_capture, eigenstate
+from .textfmt import float_text
 from .wavepacket import WavePacketModel
 from .wigner import _worker_count, lobe_count, wigner_transform
 
@@ -61,7 +66,8 @@ class _Workspace:
         self.x = np.linspace(cfg.x_min, cfg.x_max, cfg.nx)
         self.classical_period, self.revival_time = characteristic_times(self.params)
         self.times, self.time_fracs = config_times(cfg, self.revival_time)
-        self.spec = ".17g" if cfg.format == "full" else ".9g"
+        self.precision = 17 if cfg.format == "full" else 9
+        self.spec = f".{self.precision}g"
         self._model: WavePacketModel | None = None
 
     @property
@@ -150,15 +156,25 @@ def _time_text(t: float, t_frac: float | None) -> str:
     return f"t={t!r}" + ("" if t_frac is None else f" t_frac={t_frac!r}")
 
 
+#: Grid values per text block of a grid CSV (8 rows at np=512): the scratch
+#: arrays of a block stay near 1 MB, so the peak memory of ``wigner`` stays
+#: near that of its grid.
+_BLOCK_VALUES = 4096
+
+
 def _grid_lines(ws: _Workspace, row_axis: np.ndarray, col_axis: np.ndarray,
                 values: np.ndarray):
-    """``row,column,value`` CSV lines of a 2-d grid in row-major order, one
-    block of text per grid row."""
-    spec = ws.spec
-    col_text = [format(c, spec) for c in col_axis]
-    for r, row in zip(row_axis, values):
-        head = format(r, spec) + ","
-        yield "\n".join([f"{head}{c},{v:{spec}}" for c, v in zip(col_text, row.tolist())])
+    """``row,column,value`` CSV text of a 2-d grid in row-major order: one
+    block of whole grid rows per item, without a trailing newline."""
+    precision = ws.precision
+    cols = np.strings.add(float_text(col_axis, precision), b",")[None, :]
+    step = max(1, _BLOCK_VALUES // len(col_axis))
+    for start in range(0, len(row_axis), step):
+        block = values[start:start + step]
+        rows = np.strings.add(float_text(row_axis[start:start + step], precision), b",")
+        lines = np.strings.add(np.strings.add(rows[:, None], cols),
+                               float_text(block, precision).reshape(block.shape))
+        yield b"\n".join(lines.ravel().tolist()).decode("ascii")
 
 
 def _write_grid_files(ws: _Workspace, out: _Outputs, stem: str, axes: tuple[np.ndarray, ...],

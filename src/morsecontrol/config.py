@@ -237,17 +237,42 @@ def apply_environment(cfg: RunConfig, environ: Mapping[str, str]) -> RunConfig:
     return validate_config(_assign(cfg, "workers", raw, WORKERS_ENV_VAR), WORKERS_ENV_VAR)
 
 
+#: Largest deviation of the eigen table's Gram matrix from the identity that
+#: ``build_model`` accepts. Measured on the default well and ladder, sound
+#: grids read 9.8e-15 to 2.8e-14 (the default grid, nx from 128 to 512, a
+#: narrowed range) and 6.3e-12 at x_max=0.25 nx=512, which clips the tails
+#: of the top levels; grids that miss the well or sample it too coarsely
+#: (x_min=0.3 x_max=0.45, x_min=-60 or x_max=30 at nx=512) read 0.995 to
+#: 1.0. 1e-8 sits between the two groups, three decades above the worst
+#: sound grid, so rounding never trips it and a lost level always does.
+GRAM_TOLERANCE = 1e-8
+
+
 def build_model(cfg: RunConfig) -> WavePacketModel:
     """The packet model of ``cfg``: its well, its split ladder and its position grid.
 
     A ladder that cannot be split into two parity families raises ConfigError
-    naming ``alpha, n_levels``."""
+    naming ``alpha, n_levels``. A grid on which the eigenfunctions are not
+    orthonormal, the Gram matrix of the table under trapezoid weights off the
+    identity by more than GRAM_TOLERANCE, cannot hold the packet and raises
+    ConfigError naming ``nx, x_min, x_max``."""
     try:
         coeffs = split_even_odd(su2_coefficients(cfg.alpha, cfg.n_levels - 1))
     except ValueError as exc:
         raise ConfigError(f"config: alpha, n_levels: coherent ladder invalid: {exc}") from exc
-    return WavePacketModel(MorseParams(beta=cfg.beta, mu=cfg.mu, r0=cfg.r0, D=cfg.D),
-                           coeffs, np.linspace(cfg.x_min, cfg.x_max, cfg.nx))
+    model = WavePacketModel(MorseParams(beta=cfg.beta, mu=cfg.mu, r0=cfg.r0, D=cfg.D),
+                            coeffs, np.linspace(cfg.x_min, cfg.x_max, cfg.nx))
+    weights = np.full(cfg.nx, model.dx)
+    weights[[0, -1]] *= 0.5
+    gram = np.einsum("mx,nx,x->mn", model.table, model.table, weights)
+    deviation = float(np.abs(gram - np.eye(len(gram))).max())
+    if deviation > GRAM_TOLERANCE:
+        raise ConfigError(
+            f"config: nx, x_min, x_max: the grid x_min={cfg.x_min!r}..x_max={cfg.x_max!r} "
+            f"at nx={cfg.nx} cannot hold the packet: the eigenfunctions' Gram matrix is off "
+            f"the identity by {deviation:.6g} (bound {GRAM_TOLERANCE:g}); the grid must "
+            "cover the well and sample it finely: move x_min..x_max onto the well or raise nx")
+    return model
 
 
 def momentum_grid(cfg: RunConfig, state: StateGrid) -> np.ndarray:

@@ -159,3 +159,49 @@ def _loop_fringe_amplitude(density, x, r0, moving_average=_loop_moving_average):
 @pytest.fixture(scope="session")
 def loop_fringe_amplitude():
     return _loop_fringe_amplitude
+
+
+def _loop_grid_lines(spec, row_axis, col_axis, values):
+    """``row,column,value`` CSV lines of a 2-d grid in row-major order, one
+    block of text per grid row, by ``format(v, spec)`` on every value.
+
+    The per-value loop that ``cli._grid_lines`` replaced with the array
+    formatter of ``morsecontrol.textfmt``: the oracle for its bytes.
+    """
+    col_text = [format(c, spec) for c in col_axis]
+    for r, row in zip(row_axis, values):
+        head = format(r, spec) + ","
+        yield "\n".join([f"{head}{c},{v:{spec}}" for c, v in zip(col_text, row.tolist())])
+
+
+@pytest.fixture(scope="session")
+def loop_grid_lines():
+    return _loop_grid_lines
+
+
+def _awkward_floats(rng, size):
+    """``size`` seeded floats, shuffled: the values a float-to-text
+    formatter gets wrong first, then normals over many magnitudes.
+
+    nan, ±inf, ±0; subnormals; powers of ten from 1e-30 to 1e30 and at
+    ±1e100 and the ends of the fast range (1e±250), each with its
+    neighbours one ulp away; and exact decimal ties, which round half-even:
+    k + 0.5 with 9-digit k is a tie at 9 digits, k + 0.25 and k + 0.75 with
+    16-digit k are ties at 17.
+    """
+    powers = [10.0 ** k for k in (*range(-30, 31), -100, 100, -250, 250)]
+    special = [np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -2.5e-310, 2.2250738585072009e-308]
+    for power in powers:
+        special += [power, np.nextafter(power, 0.0), np.nextafter(power, np.inf)]
+    ties = np.concatenate([rng.integers(10 ** 8, 10 ** 9, 40) + 0.5,
+                           rng.integers(10 ** 15, 2 * 10 ** 15, 40) + rng.choice([0.25, 0.75], 40)])
+    special = np.concatenate([special, ties])
+    special = np.concatenate([special, -special])
+    ordinary = rng.standard_normal(size - special.size) * 10.0 ** rng.integers(
+        -40, 40, size - special.size)
+    return rng.permutation(np.concatenate([special, ordinary]))
+
+
+@pytest.fixture(scope="session")
+def awkward_floats():
+    return _awkward_floats

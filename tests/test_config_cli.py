@@ -3,6 +3,7 @@ import os
 import re
 import tracemalloc
 from dataclasses import replace
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -12,8 +13,8 @@ from morsecontrol import (I2, RunConfig, auto_momentum_grid, characteristic_time
                           uncertainties, wigner_transform)
 from morsecontrol import cli
 from morsecontrol.cli import COMMANDS, main
-from morsecontrol.config import (apply_overrides, config_times, parse_angle, parse_fraction,
-                                 validate_config)
+from morsecontrol.config import (apply_overrides, build_model, config_times, parse_angle,
+                                 parse_fraction, validate_config)
 from morsecontrol.errors import ConfigError
 
 
@@ -316,6 +317,42 @@ def test_unbuildable_ladder_names_its_keys(tmp_path, capsys, setting, message):
     assert list(tmp_path.iterdir()) == []
 
 
+PACKET_COMMANDS = [name for name in COMMANDS if name != "eigen"]
+
+
+@pytest.mark.filterwarnings("ignore::morsecontrol.errors.TruncationWarning")
+@pytest.mark.parametrize("grid", [("x_min=0.3", "x_max=0.45"), ("x_min=-60",), ("x_max=30",)],
+                         ids=["misses-the-well", "too-coarse-wide-left", "too-coarse-wide-right"])
+@pytest.mark.parametrize("command", PACKET_COMMANDS)
+def test_grid_that_cannot_hold_the_packet_names_its_keys(tmp_path, capsys, command, grid):
+    args = [command, "--outdir", str(tmp_path)] + BASE
+    for setting in grid:
+        args += ["--set", setting]
+    assert run_cli(args) == 1
+    err = capsys.readouterr().err
+    assert "error: config: nx, x_min, x_max: the grid x_min=" in err
+    assert "at nx=512 cannot hold the packet" in err
+    assert float(err.split("off the identity by ")[1].split()[0]) > 0.99
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("grid", [{}, {"nx": 128}, {"x_max": 0.25, "nx": 512},
+                                  {"x_max": 30.0, "nx": 8192}])
+def test_sound_grids_hold_the_packet(grid):
+    # the worst sound grid measured, x_max=0.25 at nx=512, reads 6.3e-12
+    model = build_model(replace(RunConfig(), **grid))
+    assert model.table.shape == (24, grid.get("nx", 2048))
+
+
+@pytest.mark.filterwarnings("ignore::morsecontrol.errors.TruncationWarning")
+def test_eigen_reports_capture_on_a_grid_that_misses_the_well(tmp_path):
+    # eigen builds no packet: it keeps writing each level's capture
+    args = ["eigen", "--outdir", str(tmp_path), "--set", "x_min=0.3", "--set", "x_max=0.45"]
+    assert run_cli(args + BASE) == 0
+    rows = (tmp_path / "eigen.csv").read_text().splitlines()[5:]
+    assert max(float(row.split(",")[4]) for row in rows) < 1e-3
+
+
 def test_partial_outputs_removed_on_failure(tmp_path, capsys):
     # the first lattice point fits inside p_max, the second does not: the
     # command must fail and remove the files it already wrote
@@ -520,6 +557,27 @@ def test_grid_csv_with_fewer_rows_than_processes(tmp_path, monkeypatch, n_rows):
     assert written[4] == written[1]
     assert written[1].count(b"\n") == 1 + n_rows * cols.size
     assert sorted(p.name for p in tmp_path.iterdir()) == ["1.csv", "4.csv"]
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("fmt", ["full", "compact"])
+@pytest.mark.parametrize("n_rows", [0, 1, 2, 3, 10])
+def test_grid_csv_equals_per_value_format(tmp_path, monkeypatch, loop_grid_lines,
+                                          awkward_floats, fmt, n_rows):
+    # 1000 columns make blocks of 4 rows, so 10 rows end in a partial block
+    rng = np.random.default_rng(1630 + n_rows)
+    ws = cli._Workspace(validate_config(RunConfig(format=fmt)))
+    rows = awkward_floats(rng, 1000)[:n_rows]
+    cols = awkward_floats(rng, 1000)
+    values = awkward_floats(rng, max(n_rows, 1) * 1000)[:n_rows * 1000].reshape(n_rows, 1000)
+    header = ["# grid", "x,p,w"]
+    lines = chain(header, loop_grid_lines(ws.spec, rows, cols, values))
+    expected = "".join(line + "\n" for line in lines).encode()
+    for processes in (1, 3):
+        monkeypatch.setattr(cli, "_worker_count", lambda: processes)
+        path = tmp_path / f"{processes}.csv"
+        cli._write_grid_csv(ws, path, header, rows, cols, values)
+        assert path.read_bytes() == expected
     _assert_no_child_left()
 
 
