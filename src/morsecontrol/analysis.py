@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .czt import CZT
 from .errors import GridError, InvalidParameterError, TruncationError
@@ -118,11 +117,12 @@ def _alternating_extrema(values: np.ndarray, floor: float) -> list[int]:
     that fires on such a sample would also happen at the turn that ends the
     stretch, with the same committed index and the same state after it.
     """
-    drops = np.flatnonzero(values[:-1] - values[1:] > floor)
+    step = np.diff(values)
+    # -fl(b - a) is fl(a - b), so these are the single-step drops > floor.
+    drops = np.flatnonzero(-step > floor)
     if not drops.size:
         return []
     start = int(drops[0]) + 1
-    step = np.diff(values)
     moves = np.flatnonzero(step)
     rising = step[moves] > 0
     turns = moves[:-1][rising[:-1] != rising[1:]] + 1
@@ -130,9 +130,10 @@ def _alternating_extrema(values: np.ndarray, floor: float) -> list[int]:
     before = int(np.searchsorted(moves, start - 1))
     extrema = [int(moves[before - 1]) + 1 if before else 0]
 
-    points = np.append(turns[turns > start], values.size - 1)
+    points = turns[turns > start].tolist()
+    points.append(values.size - 1)
     candidate, held, falling = start, float(values[start]), True
-    for i, value in zip(points.tolist(), values[points].tolist()):
+    for i, value in zip(points, values[points].tolist()):
         if falling:
             if value < held:
                 candidate, held = i, value
@@ -190,7 +191,8 @@ def fringe_amplitude(density: np.ndarray, x_grid: np.ndarray, r0: float) -> floa
     )
     maxima = np.flatnonzero(is_max) + 1
     if maxima.size >= 2:
-        gaps = sorted(np.diff(x[maxima]).tolist())
+        at = x[maxima]
+        gaps = sorted((at[1:] - at[:-1]).tolist())
         mid = len(gaps) // 2
         median = gaps[mid] if len(gaps) % 2 else (gaps[mid - 1] + gaps[mid]) / 2
         window = max(FRINGE_WINDOW_FACTOR * median, FRINGE_WINDOW_FLOOR)
@@ -199,8 +201,14 @@ def fringe_amplitude(density: np.ndarray, x_grid: np.ndarray, r0: float) -> floa
     half = max(int(round(0.5 * window / dx)), 1)
     half = min(half, density.size - 1)
     width = 2 * half + 1
-    running = np.cumsum(np.concatenate(
-        [[0.0], density[half:0:-1], density, density[-2:-half - 2:-1]]))
+    n = density.size
+    # 0, then the density mirrored at both ends, summed in place
+    running = np.empty(n + width)
+    running[0] = 0.0
+    running[1:half + 1] = density[half:0:-1]
+    running[half + 1:half + 1 + n] = density
+    running[half + 1 + n:] = density[-2:-half - 2:-1]
+    np.cumsum(running, out=running)
     background = (running[width:] - running[:-width]) * (1.0 / width)
     residual = density - background
 
@@ -209,12 +217,18 @@ def fringe_amplitude(density: np.ndarray, x_grid: np.ndarray, r0: float) -> floa
     best = 0.0
     n_swings = FRINGE_MIN_EXTREMA - 1
     if extrema.size > n_swings:
-        # Run k is extrema[k:k + FRINGE_MIN_EXTREMA]; its swings are row k of
-        # the sliding windows over the swings between neighbouring extrema.
-        swings = sliding_window_view(np.abs(np.diff(residual[extrema])), n_swings)
-        hi = swings.max(axis=1)
+        # Run k is extrema[k:k + FRINGE_MIN_EXTREMA]; its swings are
+        # swings[k:k + n_swings], the swings between neighbouring extrema.
+        at = residual[extrema]
+        swings = np.abs(at[1:] - at[:-1])
+        runs = swings.size - n_swings + 1
+        hi = swings[:runs].copy()
+        lo = hi.copy()
+        for k in range(1, n_swings):
+            np.maximum(hi, swings[k:k + runs], out=hi)
+            np.minimum(lo, swings[k:k + runs], out=lo)
         qualifies = ((x[extrema[n_swings:]] - x[extrema[:-n_swings]] <= FRINGE_CLUSTER_WIDTH)
-                     & (swings.min(axis=1) >= FRINGE_SWING_BALANCE * hi)
+                     & (lo >= FRINGE_SWING_BALANCE * hi)
                      & (hi >= FRINGE_MIN_PROMINENCE * spread))
         if qualifies.any():
             best = float(hi[qualifies].max())

@@ -86,12 +86,16 @@ def _check_uniform(x: np.ndarray) -> np.ndarray:
     """The steps ``np.diff(x)`` of the 1-d grid x; raise GridError unless x
     is strictly increasing, finite and uniformly spaced."""
     steps = np.diff(x)
-    if x.size < 2 or not np.all(steps > 0):
+    # A NaN step makes the minimum NaN, which is not > 0.
+    if x.size < 2 or not (low := steps.min()) > 0:
         raise GridError("grid must be strictly increasing")
     # Increasing, so finite if both ends are.
     if not (math.isfinite(x[0]) and math.isfinite(x[-1])):
         raise GridError("grid must be finite")
-    if not np.all(np.abs(steps - steps[0]) <= 1e-9 * steps[0]):
+    # fl(s - s0) is monotone in s, so the extreme steps decide |s - s0| <= tol.
+    s0 = steps[0]
+    tol = 1e-9 * s0
+    if not (steps.max() - s0 <= tol and s0 - low <= tol):
         raise GridError("grid must be uniformly spaced")
     return steps
 
