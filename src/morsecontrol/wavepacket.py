@@ -14,7 +14,7 @@ norm is exactly 1 for every theta because the two packets are orthogonal.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -100,6 +100,18 @@ def _check_uniform(x: np.ndarray) -> np.ndarray:
     return steps
 
 
+class _ParitySheet:
+    """The even and odd packets at one time, read-only, and the moments of
+    their products, which ``analysis.uncertainties`` fills in on first use."""
+
+    __slots__ = ("even", "odd", "moments")
+
+    def __init__(self, even: np.ndarray, odd: np.ndarray):
+        self.even = even
+        self.odd = odd
+        self.moments: tuple | None = None
+
+
 @dataclass(frozen=True, eq=False)
 class StateGrid:
     """Complex wave-function samples on a uniform position grid.
@@ -112,6 +124,10 @@ class StateGrid:
     psi: np.ndarray
     theta: float | None
     t: float
+    #: (a, b, sheet) of a state that WavePacketModel.phase_locked built as
+    #: a*even + b*odd over the packets of ``sheet``; None for any other.
+    _parity_mix: tuple[complex, complex, _ParitySheet] | None = field(
+        default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.x.ndim != 1 or self.x.size != self.psi.size:
@@ -120,11 +136,12 @@ class StateGrid:
 
     @classmethod
     def _on_checked_grid(cls, x: np.ndarray, psi: np.ndarray, theta: float | None,
-                         t: float) -> "StateGrid":
+                         t: float, mix: tuple | None = None) -> "StateGrid":
         """A state on a grid that has passed the checks of __post_init__
         already, with psi of the same length, built without repeating them."""
         state = object.__new__(cls)
-        for name, value in (("x", x), ("psi", psi), ("theta", theta), ("t", t)):
+        for name, value in (("x", x), ("psi", psi), ("theta", theta), ("t", t),
+                            ("_parity_mix", mix)):
             object.__setattr__(state, name, value)
         return state
 
@@ -139,6 +156,14 @@ class StateGrid:
     def norm(self) -> float:
         """Quadrature norm integral of |psi|^2."""
         return float(np.trapezoid(self.density, self.x))
+
+
+def _phase_weights(theta: float) -> tuple[float, complex, complex]:
+    """theta reduced mod 2*pi, and the weights (a, b) of the even and odd
+    packets at it, from one exp(i*theta)."""
+    th = float(theta) % (2.0 * math.pi)
+    turn = np.exp(1j * th)
+    return th, 0.5 * (1.0 - turn), 0.5 * (1.0 + turn)
 
 
 def phase_circle_coeffs(theta: float) -> tuple[float, float, float]:
@@ -177,7 +202,10 @@ class WavePacketModel:
     Every state at time t mixes the even and odd packets at t, which the
     model keeps for the last t it was asked for, read-only: a carpet or a
     theta scan at one time expands each packet once. Each packet sums its
-    own parity's levels with np.einsum, which calls no BLAS.
+    own parity's levels with np.einsum, which calls no BLAS. A state from
+    ``phase_locked`` is read-only and keeps its time's packets, so
+    ``analysis.uncertainties`` takes its spreads from moments of the two
+    packets, computed once per time.
     """
 
     def __init__(self, params: MorseParams, coeffs: CoefficientSet, x_grid: np.ndarray):
@@ -200,7 +228,7 @@ class WavePacketModel:
         self.energies = energies(params, n_levels)
         self._parities = {"even": (slice(0, None, 2), coeffs.even_amplitudes),
                           "odd": (slice(1, None, 2), coeffs.odd_amplitudes)}
-        self._packets_at: tuple[float, np.ndarray, np.ndarray] | None = None
+        self._packets_at: tuple[float, _ParitySheet] | None = None
 
     @property
     def dx(self) -> float:
@@ -217,40 +245,41 @@ class WavePacketModel:
         psi.flags.writeable = False
         return psi
 
-    def _packets(self, t: float) -> tuple[np.ndarray, np.ndarray]:
+    def _packets(self, t: float) -> _ParitySheet:
         """The even and odd packets at t, from the one-entry cache."""
         cached = self._packets_at
         if cached is None or cached[0] != t:
-            cached = (float(t), self._packet("even", t), self._packet("odd", t))
+            cached = (float(t), _ParitySheet(self._packet("even", t), self._packet("odd", t)))
             self._packets_at = cached
-        return cached[1], cached[2]
+        return cached[1]
 
     def subsidiary(self, parity: str, t: float) -> StateGrid:
         """Unit-norm packet restricted to one parity class of levels; psi is read-only."""
         if parity not in self._parities:
             raise InvalidParameterError(f"parity must be 'even' or 'odd', got {parity!r}")
-        even, odd = self._packets(t)
-        return StateGrid._on_checked_grid(self.x, even if parity == "even" else odd, None, t)
+        sheet = self._packets(t)
+        return StateGrid._on_checked_grid(
+            self.x, sheet.even if parity == "even" else sheet.odd, None, t)
 
-    def _mix(self, theta: float, t: float) -> tuple[float, np.ndarray]:
-        """theta reduced mod 2*pi, and psi of the mix at theta and t."""
-        th = float(theta) % (2.0 * math.pi)
-        a = 0.5 * (1.0 - np.exp(1j * th))
-        b = 0.5 * (1.0 + np.exp(1j * th))
-        even, odd = self._packets(t)
-        return th, a * even + b * odd
+    def _mix(self, theta: float, t: float) -> tuple[float, tuple, np.ndarray]:
+        """theta reduced mod 2*pi, (a, b, packets at t), and psi = a*even + b*odd."""
+        th, a, b = _phase_weights(theta)
+        sheet = self._packets(t)
+        return th, (a, b, sheet), a * sheet.even + b * sheet.odd
 
     def phase_locked(self, theta: float, t: float) -> StateGrid:
         """Coherent mix of the parity packets at control phase theta.
 
-        theta is reduced mod 2*pi; the analytic norm is exactly 1.
+        theta is reduced mod 2*pi; the analytic norm is exactly 1. psi is
+        read-only.
         """
-        th, psi = self._mix(theta, t)
-        return StateGrid._on_checked_grid(self.x, psi, th, t)
+        th, mix, psi = self._mix(theta, t)
+        psi.flags.writeable = False
+        return StateGrid._on_checked_grid(self.x, psi, th, t, mix)
 
     def density(self, theta: float, t: float) -> np.ndarray:
         """|state(theta, t)|^2 on the position grid, without building the state."""
-        return np.abs(self._mix(theta, t)[1]) ** 2
+        return np.abs(self._mix(theta, t)[2]) ** 2
 
     def density_decomposition(self, theta: float, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Even, odd and cross contributions whose pointwise sum is the density.
@@ -258,7 +287,8 @@ class WavePacketModel:
         The cross part is (sin(theta)/2) * i*(odd*conj(even) - even*conj(odd)),
         which is real-valued.
         """
-        even, odd = self._packets(t)
+        sheet = self._packets(t)
+        even, odd = sheet.even, sheet.odd
         even_coeff, odd_coeff, cross_coeff = phase_circle_coeffs(theta)
         even_part = even_coeff * np.abs(even) ** 2
         odd_part = odd_coeff * np.abs(odd) ** 2

@@ -388,3 +388,56 @@ def test_first_zero_tracks_tile_extent(model, times):
     assert scan.first_zero is not None
     ratio = scan.first_zero / tile_extent
     assert 1.0 / 3.0 < ratio < 3.0
+
+
+def _grid_route_uncertainties(state):
+    """The quadrature of ``uncertainties`` on the state's own samples, written
+    with np.trapezoid: the route of every state that is not phase-locked."""
+    x = state.x
+    rho = np.abs(state.psi) ** 2
+    norm = float(np.trapezoid(rho, x))
+    mean = float(np.trapezoid(x * rho, x)) / norm
+    second = float(np.trapezoid(x * x * rho, x)) / norm
+    return math.sqrt(max(second - mean * mean, 0.0)), spectral_moments(state)[1]
+
+
+def _as_user_state(state):
+    return StateGrid(x=state.x, psi=np.array(state.psi), theta=state.theta, t=state.t)
+
+
+def test_parity_moments_agree_with_grid_route(model, times):
+    _, t_rev = times
+    for frac in (0.0, 1 / 16, 0.11, 1 / 8, 0.25, 0.37):
+        for theta in np.linspace(0.0, 2.0 * math.pi, 13):
+            state = model.phase_locked(theta, frac * t_rev)
+            assert state._parity_mix is not None
+            form = uncertainties(state)
+            grid = uncertainties(_as_user_state(state))
+            for a, b in zip(form, grid):
+                assert a == pytest.approx(b, rel=1e-13, abs=0.0)
+            assert tile_area(state) == pytest.approx(tile_area(_as_user_state(state)),
+                                                     rel=1e-13, abs=0.0)
+
+
+def test_state_keeps_its_times_packets(model, times):
+    _, t_rev = times
+    fresh = type(model)(model.params, model.coeffs, model.x)
+    first = fresh.phase_locked(0.8, t_rev / 8)
+    later = fresh.phase_locked(0.8, 0.3 * t_rev)
+    assert uncertainties(later) != uncertainties(first)
+    # first still mixes the packets of t_rev/8, and computes their moments now
+    assert first._parity_mix[2] is not later._parity_mix[2]
+    expected = type(model)(model.params, model.coeffs, model.x).phase_locked(0.8, t_rev / 8)
+    assert uncertainties(first) == uncertainties(expected)
+    for a, b in zip(uncertainties(first), uncertainties(_as_user_state(first))):
+        assert a == pytest.approx(b, rel=1e-13, abs=0.0)
+
+
+def test_user_built_state_takes_the_grid_route(model, times, toy_x):
+    _, t_rev = times
+    states = [gaussian_state(toy_x, x0=0.4, p0=-1.3, sigma=0.6),
+              _as_user_state(model.phase_locked(2.1, t_rev / 16)),
+              displaced_state(model.phase_locked(0.5, t_rev / 8), dp_shift=3.0)]
+    for state in states:
+        assert state._parity_mix is None
+        assert uncertainties(state) == _grid_route_uncertainties(state)

@@ -320,6 +320,14 @@ def test_cached_packets_are_read_only(model, times):
         packet[0] = 0.0
 
 
+def test_phase_locked_psi_is_read_only(model, times):
+    # its spreads come from its packets, so its samples must not change
+    state = model.phase_locked(1.1, times[1] / 8)
+    with pytest.raises(ValueError, match="read-only"):
+        state.psi[0] = 0.0
+    assert model.density(1.1, times[1] / 8).flags.writeable
+
+
 def test_expansion_matches_the_complex_table_route(model, times):
     # the route before the einsum expansion: all 24 level weights times the
     # phases, contracted with a complex copy of the table
