@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import re
+import warnings
 from collections.abc import Mapping
 from dataclasses import dataclass, fields, replace
 
@@ -255,13 +256,17 @@ def build_model(cfg: RunConfig) -> WavePacketModel:
     naming ``alpha, n_levels``. A grid on which the eigenfunctions are not
     orthonormal, the Gram matrix of the table under trapezoid weights off the
     identity by more than GRAM_TOLERANCE, cannot hold the packet and raises
-    ConfigError naming ``nx, x_min, x_max``."""
+    ConfigError naming ``nx, x_min, x_max``. The warnings of building the
+    table (TruncationWarning) are held until the grid passes, then issued;
+    a grid that fails drops them, as its error names the cause."""
     try:
         coeffs = split_even_odd(su2_coefficients(cfg.alpha, cfg.n_levels - 1))
     except ValueError as exc:
         raise ConfigError(f"config: alpha, n_levels: coherent ladder invalid: {exc}") from exc
-    model = WavePacketModel(MorseParams(beta=cfg.beta, mu=cfg.mu, r0=cfg.r0, D=cfg.D),
-                            coeffs, np.linspace(cfg.x_min, cfg.x_max, cfg.nx))
+    with warnings.catch_warnings(record=True) as held:
+        warnings.simplefilter("always")
+        model = WavePacketModel(MorseParams(beta=cfg.beta, mu=cfg.mu, r0=cfg.r0, D=cfg.D),
+                                coeffs, np.linspace(cfg.x_min, cfg.x_max, cfg.nx))
     weights = np.full(cfg.nx, model.dx)
     weights[[0, -1]] *= 0.5
     gram = np.einsum("mx,nx,x->mn", model.table, model.table, weights)
@@ -272,6 +277,9 @@ def build_model(cfg: RunConfig) -> WavePacketModel:
             f"at nx={cfg.nx} cannot hold the packet: the eigenfunctions' Gram matrix is off "
             f"the identity by {deviation:.6g} (bound {GRAM_TOLERANCE:g}); the grid must "
             "cover the well and sample it finely: move x_min..x_max onto the well or raise nx")
+    for caught in held:
+        warnings.warn_explicit(caught.message, caught.category, caught.filename, caught.lineno,
+                               source=caught.source)
     return model
 
 

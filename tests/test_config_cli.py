@@ -1,9 +1,13 @@
 import math
 import os
 import re
+import subprocess
+import sys
 import tracemalloc
+import warnings
 from dataclasses import replace
 from itertools import chain
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,11 +15,11 @@ import pytest
 from morsecontrol import (I2, RunConfig, auto_momentum_grid, characteristic_times,
                           fringe_amplitude, lobe_count, parse_config, read_grid,
                           uncertainties, wigner_transform)
-from morsecontrol import cli
+from morsecontrol import cli, config
 from morsecontrol.cli import COMMANDS, main
 from morsecontrol.config import (apply_overrides, build_model, config_times, parse_angle,
                                  parse_fraction, validate_config)
-from morsecontrol.errors import ConfigError
+from morsecontrol.errors import ConfigError, TruncationWarning
 
 
 def test_empty_config_gives_iodine_defaults():
@@ -334,6 +338,36 @@ def test_grid_that_cannot_hold_the_packet_names_its_keys(tmp_path, capsys, comma
     assert "at nx=512 cannot hold the packet" in err
     assert float(err.split("off the identity by ")[1].split()[0]) > 0.99
     assert list(tmp_path.iterdir()) == []
+
+
+def test_grid_error_is_the_only_line_on_stderr(tmp_path):
+    # in a fresh process, under the default warning filters: the 24 levels'
+    # TruncationWarnings of such a grid are dropped, as the error names the cause
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env.pop("PYTHONWARNINGS", None)
+    outdir = tmp_path / "out"
+    argv = [sys.executable, "-m", "morsecontrol.cli", "state", "--outdir", str(outdir), *BASE,
+            "--set", "x_min=0.3", "--set", "x_max=0.45"]
+    run = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 1
+    lines = run.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: config: nx, x_min, x_max: "), lines[:3]
+    assert not outdir.exists()
+
+
+def test_table_warnings_held_until_the_grid_passes(monkeypatch):
+    bad = replace(RunConfig(), x_max=0.22, nx=512)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ConfigError, match="nx, x_min, x_max"):
+            build_model(bad)
+    assert caught == []
+    # a tolerance the same grid passes issues the held warnings after the check
+    monkeypatch.setattr(config, "GRAM_TOLERANCE", 2.0)
+    with pytest.warns(TruncationWarning, match="captures only"):
+        build_model(bad)
 
 
 @pytest.mark.parametrize("grid", [{}, {"nx": 128}, {"x_max": 0.25, "nx": 512},
