@@ -277,6 +277,22 @@ class WavePacketModel:
         psi.flags.writeable = False
         return StateGrid._on_checked_grid(self.x, psi, th, t, mix)
 
+    def amplitudes(self, theta: float, t: float) -> np.ndarray:
+        """The level amplitudes c_m of ``phase_locked(theta, t)``, in level order.
+
+        c_m is a*e_k for even m = 2k and b*o_k for odd m = 2k + 1, times
+        exp(-i*E_m*t), where e and o are the normalized parity amplitudes and
+        (a, b) the packet weights of ``phase_locked``. The state is
+        sum_m c_m*phi_m(x) over the real eigenfunctions phi_m (``table``);
+        ``phase_locked`` samples it through the two packets instead.
+        """
+        _, a, b = _phase_weights(theta)
+        c = np.empty(self.energies.size, dtype=np.complex128)
+        for weight, parity in ((a, "even"), (b, "odd")):
+            levels, amplitudes = self._parities[parity]
+            c[levels] = weight * amplitudes
+        return c * np.exp(-1j * self.energies * t)
+
     def density(self, theta: float, t: float) -> np.ndarray:
         """|state(theta, t)|^2 on the position grid, without building the state."""
         return np.abs(self._mix(theta, t)[2]) ** 2

@@ -345,6 +345,27 @@ def test_expansion_matches_the_complex_table_route(model, times):
             assert np.abs(new - old).max() <= 1e-14 * np.abs(old).max()
 
 
+def test_level_amplitudes_sum_to_the_state(model, times):
+    _, t_rev = times
+    for theta in (0.0, 0.7, math.pi / 2, math.pi, 4.0, -1.0):
+        for t in (0.0, t_rev / 16, t_rev / 8, 0.37 * t_rev, -t_rev / 8):
+            c = model.amplitudes(theta, t)
+            assert c.shape == (model.energies.size,)
+            assert abs(float(np.sum(np.abs(c) ** 2)) - 1.0) <= 1e-14
+            psi = model.phase_locked(theta, t).psi
+            levels = c @ model.table.astype(np.complex128)
+            assert np.abs(levels - psi).max() <= 1e-14 * np.abs(psi).max()
+
+
+def test_level_amplitudes_in_level_order(model):
+    # theta = pi is the even packet, theta = 0 the odd one, at t = 0 real
+    even = model.amplitudes(math.pi, 0.0)
+    odd = model.amplitudes(0.0, 0.0)
+    assert np.abs(even[1::2]).max() < 1e-16 and np.abs(odd[0::2]).max() < 1e-16
+    assert np.allclose(even[0::2], model.coeffs.even_amplitudes, rtol=0.0, atol=1e-16)
+    assert np.allclose(odd[1::2], model.coeffs.odd_amplitudes, rtol=0.0, atol=1e-16)
+
+
 def test_density_mirror_phase_is_time_reversal(model, times):
     # real eigenfunctions: psi(theta, -t) = conj(psi(2*pi - theta, t))
     _, t_rev = times
