@@ -16,6 +16,7 @@ from morsecontrol import (
     su2_coefficients,
 )
 from morsecontrol.errors import DegenerateSplitError, GridError, InvalidParameterError
+from morsecontrol.wavepacket import _check_uniform
 
 
 def test_symmetric_two_level_case():
@@ -255,6 +256,24 @@ def test_state_grid_validation():
         with pytest.raises(GridError):
             StateGrid(x=np.array(infinite), psi=np.zeros(len(infinite), complex),
                       theta=None, t=0.0)
+
+
+def test_check_uniform_boundaries():
+    # 1e-9 * s0 rounds to exactly 2**-20, and s0 +- 2**-20 are doubles
+    s0, tol = 1e9 / 2**20, 2.0**-20
+    assert 1e-9 * s0 == tol
+    for last in (s0 + tol, s0 - tol):
+        assert _check_uniform(np.array([-s0, 0.0, last])).tolist() == [s0, last]
+    for last in (np.nextafter(s0 + tol, np.inf), np.nextafter(s0 - tol, 0.0)):
+        with pytest.raises(GridError, match="grid must be uniformly spaced"):
+            _check_uniform(np.array([-s0, 0.0, last]))
+    nan_step = np.linspace(0.0, 1.0, 9)
+    nan_step[4] = np.nan
+    for bad, message in ((nan_step, "strictly increasing"), (np.array([0.0]), "strictly increasing"),
+                         (np.array([0.0, 1.0, np.inf]), "finite"),
+                         (np.array([-np.inf, 0.0, 1.0]), "finite")):
+        with pytest.raises(GridError, match=f"grid must be {message}"):
+            _check_uniform(bad)
 
 
 def test_model_checks_its_grid_once_and_keeps_it_read_only(model):
