@@ -269,7 +269,8 @@ def test_check_uniform_boundaries():
             _check_uniform(np.array([-s0, 0.0, last]))
     nan_step = np.linspace(0.0, 1.0, 9)
     nan_step[4] = np.nan
-    for bad, message in ((nan_step, "strictly increasing"), (np.array([0.0]), "strictly increasing"),
+    for bad, message in ((nan_step, "strictly increasing"),
+                         (np.array([0.0]), "strictly increasing"),
                          (np.array([0.0, 1.0, np.inf]), "finite"),
                          (np.array([-np.inf, 0.0, 1.0]), "finite")):
         with pytest.raises(GridError, match=f"grid must be {message}"):
