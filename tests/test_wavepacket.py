@@ -377,15 +377,6 @@ def test_level_amplitudes_sum_to_the_state(model, times):
             assert np.abs(levels - psi).max() <= 1e-14 * np.abs(psi).max()
 
 
-def test_level_amplitudes_in_level_order(model):
-    # theta = pi is the even packet, theta = 0 the odd one, at t = 0 real
-    even = model.amplitudes(math.pi, 0.0)
-    odd = model.amplitudes(0.0, 0.0)
-    assert np.abs(even[1::2]).max() < 1e-16 and np.abs(odd[0::2]).max() < 1e-16
-    assert np.allclose(even[0::2], model.coeffs.even_amplitudes, rtol=0.0, atol=1e-16)
-    assert np.allclose(odd[1::2], model.coeffs.odd_amplitudes, rtol=0.0, atol=1e-16)
-
-
 def test_density_mirror_phase_is_time_reversal(model, times):
     # real eigenfunctions: psi(theta, -t) = conj(psi(2*pi - theta, t))
     _, t_rev = times
