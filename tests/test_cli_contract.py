@@ -24,10 +24,15 @@ from morsecontrol.cli import COMMANDS, main
 
 KEYS = tuple(f.name for f in fields(RunConfig) if f.name != "outdir")
 
-_ints = lambda valid, invalid: st.one_of(  # noqa: E731
-    st.sampled_from(valid).map(str), st.sampled_from(invalid))
-_floats = lambda lo, hi, invalid: st.one_of(  # noqa: E731
-    st.floats(lo, hi).map(repr), st.sampled_from(invalid))
+
+def _ints(valid, invalid):
+    return st.one_of(st.sampled_from(valid).map(str), st.sampled_from(invalid))
+
+
+def _floats(lo, hi, invalid):
+    return st.one_of(st.floats(lo, hi).map(repr), st.sampled_from(invalid))
+
+
 _NOT_A_NUMBER = ("", "abc", "nan", "inf", "-inf", "1/0")
 
 #: Each key's drawn values as --set text: valid ones first, then invalid or
