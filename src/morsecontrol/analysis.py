@@ -15,7 +15,7 @@ import numpy as np
 from .czt import CZT
 from .errors import GridError, InvalidParameterError, TruncationError
 from .wavepacket import StateGrid, WavePacketModel, _check_uniform
-from .wigner import (_momentum_bins, auto_momentum_grid, spectral_moments, wigner_overlap,
+from .wigner import (_moment_rows, _spread, _trapezoid, auto_momentum_grid, wigner_overlap,
                      wigner_transform)
 
 OVERLAP_ZERO_LEVEL = 1e-2
@@ -46,66 +46,10 @@ class CarpetGrid:
     density: np.ndarray
 
 
-def _trapezoid(y: np.ndarray, steps: np.ndarray) -> float:
-    """Trapezoid integral of y over a 1-d grid whose steps are ``np.diff(x)``.
-
-    The operations of ``np.trapezoid(y, x)`` in its order, so the same bits,
-    with the steps computed once by the caller.
-    """
-    return float((steps * (y[1:] + y[:-1]) / 2.0).sum())
-
-
-def _spread(norm: float, first: float, second: float) -> float:
-    """Standard deviation from the zeroth, first and second moments."""
-    mean = first / norm
-    return math.sqrt(max(second / norm - mean * mean, 0.0))
-
-
 def _products(first: np.ndarray, second: np.ndarray) -> tuple[np.ndarray, ...]:
     """|F|^2, |S|^2, Re(conj(F)*S) and Im(conj(F)*S)."""
     cross = np.conj(first) * second
     return np.abs(first) ** 2, np.abs(second) ** 2, cross.real, cross.imag
-
-
-def _packet_moments(even: np.ndarray, odd: np.ndarray, x: np.ndarray) -> tuple:
-    """Moments of the four products of two packets E and O on the grid x.
-
-    Six rows, each over (|E|^2, |O|^2, Re(conj(E)*O), Im(conj(E)*O)): their
-    trapezoid integrals against 1, x and x^2, then the sums of the same
-    products of fft(E) and fft(O) against 1, p and p^2 with the scaling of
-    ``spectral_moments``.
-    """
-    steps = np.diff(x)
-    dx = float(steps[0])
-    n = x.size
-    p_bins, p_squared = _momentum_bins(n, dx)
-    dp = 2.0 * math.pi / (n * dx)
-    in_x = _products(even, odd)
-    in_p = [y * dx * dx / (2.0 * math.pi) for y in _products(np.fft.fft(even), np.fft.fft(odd))]
-    x_squared = x * x
-    return (
-        tuple(_trapezoid(y, steps) for y in in_x),
-        tuple(_trapezoid(x * y, steps) for y in in_x),
-        tuple(_trapezoid(x_squared * y, steps) for y in in_x),
-        tuple(float(np.sum(y) * dp) for y in in_p),
-        tuple(float(np.sum(p_bins * y) * dp) for y in in_p),
-        tuple(float(np.sum(p_squared * y) * dp) for y in in_p),
-    )
-
-
-def _mixed_spreads(a: complex, b: complex, moments: tuple) -> tuple[float, float]:
-    """(position spread, momentum spread) of a*E + b*O from ``_packet_moments``.
-
-    Each moment of |a*E + b*O|^2 is |a|^2*EE + |b|^2*OO + 2*Re(c*EO) with
-    c = conj(a)*b, and so is each moment of its spectrum.
-    """
-    c = a.conjugate() * b
-    aa, bb = abs(a) ** 2, abs(b) ** 2
-    mixed = [aa * ee + bb * oo + 2.0 * (c.real * re - c.imag * im)
-             for ee, oo, re, im in moments]
-    if mixed[0] == 0.0 or mixed[3] == 0.0:
-        raise InvalidParameterError("state has zero norm")
-    return _spread(*mixed[:3]), _spread(*mixed[3:])
 
 
 def uncertainties(state: StateGrid) -> tuple[float, float]:
@@ -113,24 +57,30 @@ def uncertainties(state: StateGrid) -> tuple[float, float]:
 
     The position route is direct quadrature; the momentum route sums the
     squared DFT spectrum, exact by discrete Parseval. A state from
-    ``WavePacketModel.phase_locked`` takes both from the moments of its two
-    parity packets, computed once per time and kept with the packets: the
-    same sums, regrouped, so they agree with the grid route to rounding.
+    ``WavePacketModel.phase_locked`` takes both from the moments of the four
+    products of its two parity packets E and O, computed once per time and
+    kept with the packets. Each moment of |a*E + b*O|^2 is then
+    |a|^2*EE + |b|^2*OO + 2*Re(c*EO) with c = conj(a)*b, and so is each
+    moment of its spectrum: the same sums, regrouped, so they agree with the
+    route over the state's own samples to rounding.
     """
     if state._parity_mix is not None:
         a, b, sheet = state._parity_mix
         if sheet.moments is None:
-            sheet.moments = _packet_moments(sheet.even, sheet.odd, state.x)
-        return _mixed_spreads(complex(a), complex(b), sheet.moments)
-    rho = state.density
-    x = state.x
-    steps = np.diff(x)
-    norm = _trapezoid(rho, steps)
-    if norm == 0.0:
+            sheet.moments = _moment_rows(
+                state.x, _products(sheet.even, sheet.odd),
+                _products(np.fft.fft(sheet.even), np.fft.fft(sheet.odd)))
+        a, b = complex(a), complex(b)
+        c = a.conjugate() * b
+        aa, bb = abs(a) ** 2, abs(b) ** 2
+        moments = [aa * ee + bb * oo + 2.0 * (c.real * re - c.imag * im)
+                   for ee, oo, re, im in sheet.moments]
+    else:
+        moments = [row[0] for row in _moment_rows(
+            state.x, (state.density,), (np.abs(np.fft.fft(state.psi)) ** 2,))]
+    if moments[0] == 0.0 or moments[3] == 0.0:
         raise InvalidParameterError("state has zero norm")
-    dx_spread = _spread(norm, _trapezoid(x * rho, steps), _trapezoid(x * x * rho, steps))
-    _, dp_spread = spectral_moments(state)
-    return dx_spread, dp_spread
+    return _spread(*moments[:3]), _spread(*moments[3:])
 
 
 def tile_area(state: StateGrid) -> float:

@@ -74,29 +74,56 @@ def _momentum_bins(n: int, dx: float) -> tuple[np.ndarray, np.ndarray]:
     return p_bins, p_squared
 
 
-def spectral_moments(state: StateGrid) -> tuple[float, float]:
-    """(mean, standard deviation) of the state's momentum distribution via DFT.
+def _trapezoid(y: np.ndarray, steps: np.ndarray) -> float:
+    """Trapezoid integral of y over a 1-d grid whose steps are ``np.diff(x)``.
 
-    Discrete Parseval makes the FFT-bin sums exact for the sampled state;
-    summation order is fixed, so the result is reproducible bit for bit.
+    The operations of ``np.trapezoid(y, x)`` in its order, so the same bits,
+    with the steps computed once by the caller.
     """
-    psi = state.psi
-    n = psi.size
-    dx = state.dx
-    # |fft|^2 * dx * dx / (2*pi), in place, in that order
-    spectrum = np.abs(np.fft.fft(psi))
-    np.square(spectrum, out=spectrum)
-    spectrum *= dx
-    spectrum *= dx
-    spectrum /= 2.0 * math.pi
+    return float((steps * (y[1:] + y[:-1]) / 2.0).sum())
+
+
+def _moment_rows(x: np.ndarray, densities, spectra) -> tuple[tuple[float, ...], ...]:
+    """Six rows of moments on the uniform grid x.
+
+    Rows 0-2 hold the trapezoid integrals of each array in ``densities``
+    against 1, x and x^2. Rows 3-5 hold the sums of each array in
+    ``spectra``, a product of DFTs of samples on x such as |fft(psi)|^2,
+    against the DFT momentum bins 1, p and p^2, with the scaling
+    dx*dx/(2*pi) and the bin width dp. Discrete Parseval makes these sums
+    exact for the sampled state; summation order is fixed, so the results
+    are reproducible bit for bit.
+    """
+    steps = np.diff(x)
+    x_squared = x * x
+    n = x.size
+    dx = float(steps[0])
     p_bins, p_squared = _momentum_bins(n, dx)
     dp = 2.0 * math.pi / (n * dx)
-    total = float(np.sum(spectrum) * dp)
+    scaled = [y * dx * dx / (2.0 * math.pi) for y in spectra]
+    return (
+        tuple(_trapezoid(y, steps) for y in densities),
+        tuple(_trapezoid(x * y, steps) for y in densities),
+        tuple(_trapezoid(x_squared * y, steps) for y in densities),
+        tuple(float(np.sum(y) * dp) for y in scaled),
+        tuple(float(np.sum(p_bins * y) * dp) for y in scaled),
+        tuple(float(np.sum(p_squared * y) * dp) for y in scaled),
+    )
+
+
+def _spread(norm: float, first: float, second: float) -> float:
+    """Standard deviation from the zeroth, first and second moments."""
+    mean = first / norm
+    return math.sqrt(max(second / norm - mean * mean, 0.0))
+
+
+def spectral_moments(state: StateGrid) -> tuple[float, float]:
+    """(mean, standard deviation) of the state's momentum distribution via DFT."""
+    rows = _moment_rows(state.x, (), (np.abs(np.fft.fft(state.psi)) ** 2,))
+    total, first, second = (row[0] for row in rows[3:])
     if total == 0.0:
         raise InvalidParameterError("state has zero norm")
-    mean = float(np.sum(p_bins * spectrum) * dp) / total
-    second = float(np.sum(p_squared * spectrum) * dp) / total
-    return mean, math.sqrt(max(second - mean * mean, 0.0))
+    return first / total, _spread(total, first, second)
 
 
 def auto_momentum_grid(state: StateGrid, n: int = DEFAULT_MOMENTUM_POINTS) -> np.ndarray:
