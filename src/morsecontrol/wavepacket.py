@@ -83,8 +83,10 @@ class CoefficientSet:
 
 
 def _check_uniform(x: np.ndarray) -> np.ndarray:
-    """The steps ``np.diff(x)`` of the 1-d grid x; raise GridError unless x
-    is strictly increasing, finite and uniformly spaced."""
+    """The steps ``np.diff(x)`` of the grid x; raise GridError unless x is
+    1-d, strictly increasing, finite and uniformly spaced."""
+    if x.ndim != 1:
+        raise GridError("grid must be a 1-d array")
     steps = np.diff(x)
     # A NaN step makes the minimum NaN, which is not > 0.
     if x.size < 2 or not (low := steps.min()) > 0:
@@ -217,8 +219,6 @@ class WavePacketModel:
                 f"{n_levels} levels requested but only {params.bound_state_count} are bound"
             )
         x = np.array(x_grid, dtype=float)
-        if x.ndim != 1:
-            raise GridError("grid must be a 1-d array")
         _check_uniform(x)
         x.flags.writeable = False
         self.params = params

@@ -30,7 +30,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .czt import CZT, next_fast_len
 from .errors import GridError, InvalidParameterError, RangeAliasingError, SpacingAliasingError
-from .wavepacket import StateGrid
+from .wavepacket import StateGrid, _check_uniform
 
 DEFAULT_MOMENTUM_POINTS = 512
 MOMENTUM_SPAN_FACTOR = 5.0
@@ -143,17 +143,13 @@ def _support_halfwidth(psi: np.ndarray) -> int:
 def check_momentum_grid(state: StateGrid, p: np.ndarray) -> np.ndarray:
     """``p`` as a float array, if the state's Wigner transform can use it.
 
-    Raises GridError for a grid that is not uniform, increasing and
-    symmetric, RangeAliasingError when it stops short of the state's
+    Raises GridError for a grid that is not 1-d, uniform, increasing, finite
+    and symmetric, RangeAliasingError when it stops short of the state's
     spectral content, and SpacingAliasingError when the position step
     cannot resolve exp(-2i*p*x') at its largest p.
     """
     p = np.asarray(p, dtype=float)
-    if p.ndim != 1 or p.size < 2:
-        raise GridError("momentum grid must be a 1-d array with at least 2 points")
-    steps = np.diff(p)
-    if not np.all(steps > 0) or not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
-        raise GridError("momentum grid must be uniform and increasing")
+    _check_uniform(p)
     if abs(p[0] + p[-1]) > 1e-9 * max(abs(p[0]), abs(p[-1]), 1.0):
         raise GridError("momentum grid must be symmetric about 0")
     mean, sigma = spectral_moments(state)

@@ -280,7 +280,7 @@ def test_check_uniform_boundaries():
 def test_model_checks_its_grid_once_and_keeps_it_read_only(model):
     x = np.linspace(2.0, 4.0, 256)
     for bad, message in ((x**2, "uniformly spaced"), (x[::-1], "strictly increasing"),
-                         (np.append(x[:-1], np.inf), "finite")):
+                         (np.append(x[:-1], np.inf), "finite"), (x.reshape(16, 16), "1-d array")):
         with pytest.raises(GridError, match=message):
             WavePacketModel(model.params, model.coeffs, bad)
     assert not model.x.flags.writeable

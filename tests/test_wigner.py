@@ -270,6 +270,16 @@ def test_asymmetric_momentum_grid_rejected(smoke_x):
         wigner_transform(state, np.linspace(-2.0, 6.0, 128))
 
 
+def test_malformed_momentum_grids_rejected(smoke_x):
+    state = gaussian_state(smoke_x)
+    good = np.linspace(-6.0, 6.0, 128)
+    with_nan = good.copy()
+    with_nan[40] = np.nan
+    for bad in (good**3 / 36.0, good[::-1], with_nan, good.reshape(2, 64), np.array([0.0])):
+        with pytest.raises(GridError):
+            wigner_transform(state, bad)
+
+
 def test_lobe_count_single_gaussian(smoke_x):
     w = wigner_transform(gaussian_state(smoke_x), np.linspace(-6, 6, 128))
     assert [lobe_count(w, f) for f in (0.2, 0.3, 0.4)] == [1, 1, 1]
