@@ -168,18 +168,6 @@ def _phase_weights(theta: float) -> tuple[float, complex, complex]:
     return th, 0.5 * (1.0 - turn), 0.5 * (1.0 + turn)
 
 
-def phase_circle_coeffs(theta: float) -> tuple[float, float, float]:
-    """Weights of the even, odd, and cross densities at control phase theta.
-
-    Returns ((1-cos)/2, (1+cos)/2, sin/2); the first two always sum to 1.
-    """
-    return (
-        0.5 * (1.0 - math.cos(theta)),
-        0.5 * (1.0 + math.cos(theta)),
-        0.5 * math.sin(theta),
-    )
-
-
 #: The paper's six snapshots, (label, theta, t_frac, copies): the cat at t = 0,
 #: the compass states at T_rev/8 and T_rev/16 and the two eight-fold states at
 #: T_rev/16. ``copies`` counts the fractional-revival copies of the packet
@@ -300,13 +288,12 @@ class WavePacketModel:
     def density_decomposition(self, theta: float, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Even, odd and cross contributions whose pointwise sum is the density.
 
-        The cross part is (sin(theta)/2) * i*(odd*conj(even) - even*conj(odd)),
-        which is real-valued.
+        With the packet weights (a, b) of ``phase_locked`` they are
+        |a|^2*|even|^2, |b|^2*|odd|^2 and 2*Re(conj(a)*b*conj(even)*odd),
+        where conj(a)*b = i*sin(theta)/2.
         """
+        _, a, b = _phase_weights(theta)
         sheet = self._packets(t)
         even, odd = sheet.even, sheet.odd
-        even_coeff, odd_coeff, cross_coeff = phase_circle_coeffs(theta)
-        even_part = even_coeff * np.abs(even) ** 2
-        odd_part = odd_coeff * np.abs(odd) ** 2
-        cross_part = cross_coeff * np.real(1j * (odd * np.conj(even) - even * np.conj(odd)))
-        return even_part, odd_part, cross_part
+        return (abs(a) ** 2 * np.abs(even) ** 2, abs(b) ** 2 * np.abs(odd) ** 2,
+                2.0 * np.real(np.conj(a) * b * np.conj(even) * odd))

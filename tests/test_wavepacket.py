@@ -11,7 +11,6 @@ from morsecontrol import (
     I2,
     StateGrid,
     WavePacketModel,
-    phase_circle_coeffs,
     split_even_odd,
     su2_coefficients,
 )
@@ -207,18 +206,6 @@ def test_t0_global_phase_structure(model):
         aligned = model.phase_locked(theta, 0.0).psi * np.exp(-0.5j * theta)
         assert np.abs(aligned.real - math.cos(theta / 2) * odd).max() < 1e-12
         assert np.abs(aligned.imag + math.sin(theta / 2) * even).max() < 1e-12
-
-
-def test_phase_circle_endpoints():
-    assert phase_circle_coeffs(0.0) == pytest.approx((0.0, 1.0, 0.0), abs=1e-15)
-    assert phase_circle_coeffs(math.pi) == pytest.approx((1.0, 0.0, 0.0), abs=1e-12)
-
-
-def test_phase_circle_quarter_values():
-    even_c, odd_c, cross_c = phase_circle_coeffs(math.pi / 4)
-    assert even_c == pytest.approx(0.1464, abs=1e-4)
-    assert odd_c == pytest.approx(0.8536, abs=1e-4)
-    assert cross_c == pytest.approx(0.3536, abs=1e-4)
 
 
 @settings(max_examples=30, deadline=None)
