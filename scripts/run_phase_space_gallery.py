@@ -37,7 +37,10 @@ def main() -> int:
         sys.exit(f"error: {exc}")
 
     outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        sys.exit(f"error: outdir: cannot create {str(outdir)!r}: {exc.strerror}")
     print(f"{'snapshot':28s} {'theta':>8s} {'t/T_rev':>8s} {'lobes':>5s} "
           f"{'min W':>9s} {'tile area':>9s}")
     for (label, theta, frac, _), state, p in zip(PAPER_STATES, states, grids):

@@ -116,7 +116,10 @@ class _Outputs:
         self.removed: list[Path] = []
 
     def path(self, name: str) -> Path:
-        self.dir.mkdir(parents=True, exist_ok=True)
+        try:
+            self.dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"outdir: cannot create {str(self.dir)!r}: {exc.strerror}") from exc
         tmp = self.dir / f".{name}.{os.getpid()}.tmp"
         self.staged.append((tmp, self.dir / name))
         return tmp
@@ -445,7 +448,14 @@ def load_config(args: argparse.Namespace) -> RunConfig:
         path = Path(args.config)
         if not path.exists():
             raise ConfigError(f"config file not found: {path}")
-        cfg = parse_config(path.read_text(encoding="utf-8"))
+        try:
+            text = path.read_text(encoding="utf-8")
+        except OSError as exc:
+            raise ConfigError(f"config file {str(path)!r}: {exc.strerror}") from exc
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config file {str(path)!r}: not UTF-8 text ({exc.reason} "
+                              f"at byte {exc.start})") from exc
+        cfg = parse_config(text)
     if args.outdir is not None:
         cfg = apply_overrides(cfg, [f"outdir={args.outdir}"])
     if args.set:

@@ -305,6 +305,27 @@ def test_cli_reports_missing_config_file(tmp_path, capsys):
     assert "not found" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("case", ["config is a directory", "config is not UTF-8",
+                                  "outdir is a file", "outdir is under a file"])
+def test_bad_config_or_outdir_path_exits_1_naming_it(tmp_path, capsys, case):
+    blocker = tmp_path / "file"
+    blocker.write_text("x")
+    latin = tmp_path / "latin.cfg"
+    latin.write_bytes(b"alpha=\xff\n")
+    out = tmp_path / "out"
+    named, argv = {
+        "config is a directory": (tmp_path, ["--config", str(tmp_path), "--outdir", str(out)]),
+        "config is not UTF-8": (latin, ["--config", str(latin), "--outdir", str(out)]),
+        "outdir is a file": (blocker, ["--outdir", str(blocker)]),
+        "outdir is under a file": (blocker / "sub", ["--outdir", str(blocker / "sub")]),
+    }[case]
+    before = sorted(tmp_path.iterdir())
+    assert run_cli(["eigen", *argv] + BASE) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and str(named) in lines[0], lines
+    assert sorted(tmp_path.iterdir()) == before and blocker.read_text() == "x"
+
+
 def test_cli_degenerate_state_fails_cleanly(tmp_path, capsys):
     assert run_cli(["state", "--outdir", str(tmp_path), "--set", "alpha=0"] + BASE) == 1
     assert "split" in capsys.readouterr().err.lower() or not list(tmp_path.iterdir())

@@ -1,6 +1,7 @@
 """scripts/run_phase_space_gallery.py: its grids follow --nx and --np, and a
 bad grid size or an aliasing grid exits with the configuration's own
-message, before any file is written."""
+message, and an outdir that cannot be created exits naming it, before any
+file is written."""
 
 import importlib.util
 import sys
@@ -47,4 +48,14 @@ def test_aliasing_grid_exits_naming_its_keys(tmp_path, monkeypatch, capsys):
         run(monkeypatch, "--outdir", str(outdir), "--nx", "128")
     assert exc.value.code.startswith("error: nx, x_min, x_max: position spacing too coarse")
     assert not outdir.exists()
+    assert capsys.readouterr().out == ""
+
+
+def test_outdir_that_is_a_file_exits_naming_it(tmp_path, monkeypatch, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("x")
+    with pytest.raises(SystemExit) as exc:
+        run(monkeypatch, "--outdir", str(blocker), "--nx", "1024", "--np", "128")
+    assert exc.value.code.startswith("error: outdir: ") and str(blocker) in exc.value.code
+    assert blocker.read_text() == "x"
     assert capsys.readouterr().out == ""
