@@ -83,7 +83,8 @@ def _trapezoid(y: np.ndarray, steps: np.ndarray) -> float:
     return float((steps * (y[1:] + y[:-1]) / 2.0).sum())
 
 
-def _moment_rows(x: np.ndarray, densities, spectra) -> tuple[tuple[float, ...], ...]:
+def _moment_rows(x: np.ndarray, densities: tuple[np.ndarray, ...],
+                 spectra: tuple[np.ndarray, ...]) -> tuple[tuple[float, ...], ...]:
     """Six rows of moments on the uniform grid x.
 
     Rows 0-2 hold the trapezoid integrals of each array in ``densities``
