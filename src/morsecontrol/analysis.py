@@ -326,7 +326,10 @@ def sensitivity_scan(state: StateGrid, direction: str, max_shift: float, steps: 
     first_zero = float(shifts[below[0]]) if below.size else None
 
     n_checks = min(max(cross_checks, 0), steps)
-    idx = np.unique(np.linspace(0, steps - 1, n_checks).astype(int)) if n_checks else np.array([], int)
+    # non-decreasing, so dropping repeats gives np.unique's indices without
+    # importing numpy.ma, which np.unique does
+    idx = np.linspace(0, steps - 1, n_checks).astype(np.int64)
+    idx = idx[np.diff(idx, prepend=-1) != 0]
     if idx.size:
         p_grid = auto_momentum_grid(state) if p is None else p
         w_base = wigner_transform(state, p_grid)

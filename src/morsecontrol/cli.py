@@ -455,7 +455,10 @@ def load_config(args: argparse.Namespace) -> RunConfig:
         except UnicodeDecodeError as exc:
             raise ConfigError(f"config file {str(path)!r}: not UTF-8 text ({exc.reason} "
                               f"at byte {exc.start})") from exc
-        cfg = parse_config(text)
+        try:
+            cfg = parse_config(text)
+        except ConfigError as exc:
+            raise ConfigError(f"{exc} (config file {str(path)!r})") from exc
     if args.outdir is not None:
         cfg = apply_overrides(cfg, [f"outdir={args.outdir}"])
     if args.set:

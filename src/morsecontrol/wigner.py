@@ -42,6 +42,8 @@ SUPPORT_CUTOFF = 1e-12
 ROW_BLOCK = 8
 #: Most threads the row blocks run on; only 1 and 2 were measured.
 MAX_ROW_THREADS = 4
+#: Most values one product of a grid reduction holds (128 KB of float64).
+DOT_LEAF = 16384
 
 
 @dataclass(frozen=True, eq=False)
@@ -274,6 +276,22 @@ def marginals(w: WignerGrid) -> tuple[np.ndarray, np.ndarray]:
     return pos, mom
 
 
+def _pairwise_dot(a: np.ndarray, b: np.ndarray) -> float:
+    """``np.sum(a * b)`` for flat arrays of equal length, in DOT_LEAF-sized products.
+
+    The halves are split where numpy's pairwise summation splits them (n // 2,
+    rounded down to a multiple of 8), and each leaf is summed by ``np.sum``
+    itself, so the bits are those of the whole product's sum while the
+    scratch is one leaf instead of one grid.
+    """
+    n = a.size
+    if n <= DOT_LEAF:
+        return np.sum(a * b)
+    half = n // 2
+    half -= half % 8
+    return _pairwise_dot(a[:half], b[:half]) + _pairwise_dot(a[half:], b[half:])
+
+
 def wigner_overlap(w1: WignerGrid, w2: WignerGrid) -> float:
     """2*pi * integral of W1*W2; equals |<state1|state2>|^2 for pure states.
 
@@ -284,7 +302,8 @@ def wigner_overlap(w1: WignerGrid, w2: WignerGrid) -> float:
         raise GridError("Wigner grids have different shapes")
     if not (np.array_equal(w1.x, w2.x) and np.array_equal(w1.p, w2.p)):
         raise GridError("Wigner grids are on different axes")
-    return float(2.0 * math.pi * np.sum(w1.values * w2.values) * w1.dx * w1.dp)
+    dot = _pairwise_dot(w1.values.ravel(), w2.values.ravel())
+    return float(2.0 * math.pi * dot * w1.dx * w1.dp)
 
 
 def purity(w: WignerGrid) -> float:
@@ -361,12 +380,17 @@ def _coarse_grain(w: WignerGrid) -> tuple[np.ndarray, float, float]:
     sub-cell interference tiles while leaving the macroscopic packet lobes in
     place.
     """
-    positive = np.clip(w.values, 0.0, None)
-    if float(positive.sum()) <= 0.0:
+    # the positive part one block of rows at a time; numpy's axis-0 sum adds
+    # rows in order, so carrying it across blocks keeps the whole grid's bits
+    pos = np.empty(w.values.shape[0])
+    mom = None
+    for i in range(0, w.values.shape[0], SMOOTH_BLOCK):
+        block = np.clip(w.values[i:i + SMOOTH_BLOCK], 0.0, None)
+        pos[i:i + len(block)] = block.sum(axis=1)
+        mom = block.sum(axis=0) if mom is None else np.vstack((mom, block)).sum(axis=0)
+    # a sum of non-negative terms is zero only if every term is
+    if float(pos.sum()) <= 0.0:
         raise GridError("coarse-grained distribution has no positive region")
-    pos = positive.sum(axis=1)
-    mom = positive.sum(axis=0)
-    del positive  # free it before the smoothing allocates its own W-sized arrays
 
     def _std(axis: np.ndarray, weight: np.ndarray) -> float:
         total = float(weight.sum())

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -271,6 +272,36 @@ def test_sensitivity_scan_reuses_base_grid_at_zero_shift(toy_x, monkeypatch):
     assert scan.wigner_indices[0] == 0
     assert scan.wigner_overlaps[0] == purity(wigner_transform(state, p))
     assert len(calls) == scan.wigner_indices.size  # the base grid and one per nonzero shift
+
+
+@pytest.mark.parametrize("steps, cross_checks", [(32, 0), (32, 1), (32, 3), (33, 32),
+                                                  (64, 7), (40, 100)])
+def test_sensitivity_scan_indices_are_numpy_unique(toy_x, monkeypatch, steps, cross_checks):
+    # the Wigner route stubbed out: only the choice of indices is under test
+    monkeypatch.setattr(analysis, "wigner_transform", lambda state, p: None)
+    monkeypatch.setattr(analysis, "wigner_overlap", lambda w1, w2: 0.0)
+    scan = sensitivity_scan(gaussian_state(toy_x), "position", 1.0, steps,
+                            cross_checks=cross_checks, p=np.linspace(-5.0, 5.0, 64))
+    n_checks = min(cross_checks, steps)
+    expected = np.unique(np.linspace(0, steps - 1, n_checks).astype(int))
+    assert scan.wigner_indices.dtype == expected.dtype
+    assert scan.wigner_indices.tolist() == expected.tolist()
+
+
+def test_sensitivity_scan_peak_memory(classification_states):
+    # two grids at the peak: the base and one displaced grid, whose overlap
+    # forms no product grid; the rest is the transform threads' buffers
+    state = classification_states["compass T/8"][0]
+    p = auto_momentum_grid(state)
+    grid_bytes = state.x.size * p.size * 8
+    max_shift = uncertainties(state)[0]
+    tracemalloc.start()
+    try:
+        sensitivity_scan(state, "position", max_shift, 64, p=p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * grid_bytes
 
 
 def test_sensitivity_scan_validation(toy_x):

@@ -755,6 +755,19 @@ def test_rejected_config_lines_name_their_key(tmp_path, capsys, line, message):
     assert list(tmp_path.iterdir()) == [config]
 
 
+@pytest.mark.parametrize("text, message", [
+    ("nx=512\nbogus\n", "line 2: expected key=value, got 'bogus'"),
+    ("nx=512\nnx=256\n", "line 2: duplicate key 'nx'"),
+    ("theta_count=8\n", "config: theta_count: must be >= 9, got 8"),
+])
+def test_rejected_config_file_is_named(tmp_path, capsys, text, message):
+    config = tmp_path / "c1.cfg"
+    config.write_text(text, encoding="utf-8")
+    assert run_cli(["eigen", "--config", str(config), "--outdir", str(tmp_path / "out")]) == 1
+    assert f"error: {message} (config file {str(config)!r})\n" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [config]
+
+
 @pytest.mark.parametrize("times, message", [
     ({"t_frac": (0.125,), "t_au": (5.0,)}, "config: t_au: give times as t_frac or t_au, not both"),
     ({"t_frac": None, "t_au": None}, "config: t_frac: one of t_frac or t_au is required"),

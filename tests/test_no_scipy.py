@@ -1,4 +1,5 @@
-"""The package runs without scipy, which the tests keep only as an oracle."""
+"""The package runs without scipy, which the tests keep only as an oracle,
+and its commands import no part of numpy they do not use."""
 
 import os
 import subprocess
@@ -36,3 +37,14 @@ def test_cli_runs_with_scipy_blocked(tmp_path, command):
     result = _run_fresh(code, tmp_path)
     assert result.returncode == 0, result.stderr
     assert any((tmp_path / "out").iterdir())
+
+
+def test_sensitivity_imports_no_numpy_ma(tmp_path):
+    # np.unique would import numpy.ma, about 14 ms of a fresh process
+    code = ("import sys; from morsecontrol.cli import main; "
+            "code = main(['sensitivity', '--outdir', 'out', "
+            "'--set', 'nx=512', '--set', 'np=128']); "
+            "print(code, 'numpy.ma' in sys.modules)")
+    result = _run_fresh(code, tmp_path)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "0 False"

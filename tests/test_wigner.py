@@ -106,6 +106,18 @@ def test_transform_peak_memory_stays_near_the_output(classification_states):
 
 
 
+def test_overlap_peak_memory_is_one_leaf(classification_wigner):
+    # the product of the two grids is formed one DOT_LEAF piece at a time
+    w = classification_wigner["compass T/8"]
+    tracemalloc.start()
+    try:
+        wigner_overlap(w, w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.05 * w.values.nbytes
+
+
 def test_thread_count_does_not_move_a_bit(monkeypatch):
     # 1001 rows and 203 momentum columns: neither is a multiple of
     # 2*ROW_BLOCK or SMOOTH_BLOCK, so both loops end on a partial block
@@ -199,6 +211,18 @@ def test_wigner_overlap_matches_direct_inner_product(smoke_x):
     direct = abs(np.trapezoid(np.conj(a.psi) * b.psi, smoke_x)) ** 2
     assert wigner_overlap(w_a, w_b) == pytest.approx(direct, abs=5e-3)
     assert wigner_overlap(w_a, w_b) == wigner_overlap(w_b, w_a)
+
+
+@pytest.mark.parametrize("leaf", [1024, 16384])
+@pytest.mark.parametrize("shape", [(2048, 512), (4096, 1024), (1001, 203), (97, 33),
+                                   (3000, 777), (128, 128), (12345,), (1, 70001)])
+def test_pairwise_dot_is_numpy_sum_bit_for_bit(monkeypatch, shape, leaf):
+    # the split must be np.sum's own; a numpy that splits otherwise fails here
+    monkeypatch.setattr(wigner, "DOT_LEAF", leaf)
+    rng = np.random.default_rng(leaf + sum(shape))
+    a, b = rng.standard_normal(shape), rng.standard_normal(shape)
+    assert wigner._pairwise_dot(a.ravel(), b.ravel()) == np.sum(a * b)
+    assert wigner._pairwise_dot(a.ravel(), a.ravel()) == np.sum(a * a)
 
 
 def test_overlap_grid_mismatch_rejected(smoke_x):
@@ -333,6 +357,38 @@ def test_coarse_grain_matches_scipy_on_acceptance_grids(classification_wigner):
     for w in classification_wigner.values():
         smooth, cell_x, cell_p = wigner._coarse_grain(w)
         _assert_close_to_max(smooth, _scipy_smooth(w.values, (cell_x / w.dx, cell_p / w.dp)))
+
+
+def _whole_grid_coarse_grain(w):
+    """The coarse grain with the positive part clipped as one grid copy:
+    the reference for the block-wise marginals of ``wigner._coarse_grain``."""
+    positive = np.clip(w.values, 0.0, None)
+    pos = positive.sum(axis=1)
+    mom = positive.sum(axis=0)
+
+    def _std(axis, weight):
+        total = float(weight.sum())
+        mean = float((axis * weight).sum()) / total
+        second = float((axis * axis * weight).sum()) / total
+        return math.sqrt(max(second - mean * mean, 1e-300))
+
+    sx = _std(w.x, pos)
+    sp = _std(w.p, mom)
+    cell_x = math.sqrt(wigner.LOBE_CELL_AREA * 0.5 * sx / sp)
+    cell_p = math.sqrt(wigner.LOBE_CELL_AREA * 0.5 * sp / sx)
+    return wigner._gaussian_smooth(w.values, (cell_x / w.dx, cell_p / w.dp)), cell_x, cell_p
+
+
+def test_coarse_grain_equals_whole_grid_clip(classification_wigner):
+    # 97 rows end in a partial block of rows
+    values = np.random.default_rng(97).standard_normal((97, 33))
+    odd = WignerGrid(x=np.linspace(-1.0, 1.0, 97), p=np.linspace(-2.0, 2.0, 33),
+                     values=values, theta=None, t=0.0, norm_captured=1.0)
+    for w in [*classification_wigner.values(), odd]:
+        smooth, cell_x, cell_p = wigner._coarse_grain(w)
+        ref_smooth, ref_x, ref_p = _whole_grid_coarse_grain(w)
+        assert (cell_x, cell_p) == (ref_x, ref_p)
+        assert smooth.tobytes() == ref_smooth.tobytes()
 
 
 @pytest.mark.parametrize("shape, sigma", [
