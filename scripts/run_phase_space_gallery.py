@@ -5,17 +5,21 @@ Computes the Wigner distribution of the phase-locked packet at the six
 states of ``morsecontrol.PAPER_STATES``, writes one .wgrd grid per state and
 prints a summary line with the lobe counts and tile metrics. A file is
 named after its state's label, spaces as underscores and other punctuation
-dropped: ``compass T/8`` writes ``compass_T8.wgrd``.
+dropped: ``compass T/8`` writes ``compass_T8.wgrd``. The grids are staged
+as the CLI stages its files (``cli._Outputs``): each is written under a
+temporary name, and all six move onto their names only once the last is
+written, so a failed or interrupted run leaves the output directory as it
+was.
 """
 
 import argparse
 import math
 import re
 import sys
-from pathlib import Path
 
 from morsecontrol import (PAPER_STATES, RunConfig, build_model, characteristic_times,
                           lobe_count, tile_area, wigner_transform)
+from morsecontrol.cli import _Outputs
 from morsecontrol.config import apply_overrides, momentum_grid
 from morsecontrol.errors import ConfigError
 from morsecontrol.gridfile import GridFile, write_grid
@@ -27,37 +31,39 @@ def main() -> int:
     parser.add_argument("--nx", type=int, default=2048)
     parser.add_argument("--np", type=int, default=512)
     args = parser.parse_args()
+    out = _Outputs(args.outdir)
     try:
         cfg = apply_overrides(RunConfig(), [f"nx={args.nx}", f"np={args.np}"])
         model = build_model(cfg)
         _, t_rev = characteristic_times(model.params)
         states = [model.phase_locked(theta, frac * t_rev) for _, theta, frac, _ in PAPER_STATES]
         grids = [momentum_grid(cfg, state) for state in states]
+        names = [re.sub(r"\W", "", label.replace(" ", "_")) for label, *_ in PAPER_STATES]
+        paths = [out.path(f"{name}.wgrd") for name in names]
     except ConfigError as exc:
         sys.exit(f"error: {exc}")
 
-    outdir = Path(args.outdir)
-    try:
-        outdir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        sys.exit(f"error: outdir: cannot create {str(outdir)!r}: {exc.strerror}")
     print(f"{'snapshot':28s} {'theta':>8s} {'t/T_rev':>8s} {'lobes':>5s} "
           f"{'min W':>9s} {'tile area':>9s}")
-    for (label, theta, frac, _), state, p in zip(PAPER_STATES, states, grids):
-        name = re.sub(r"\W", "", label.replace(" ", "_"))
-        w = wigner_transform(state, p)
-        lobes = lobe_count(w)
-        area = tile_area(state)
-        write_grid(outdir / f"{name}.wgrd", GridFile(
-            axes=(w.x, w.p), payload=w.values,
-            meta={
-                "theta": repr(theta), "t_frac": repr(frac),
-                "lobe_count": str(lobes), "tile_area": repr(area),
-                "wigner_prefactor": "1/pi",
-            },
-        ))
-        print(f"{name:28s} {theta / math.pi:7.3f}p {frac:8.4f} {lobes:5d} "
-              f"{w.values.min():9.4f} {area:9.4f}")
+    try:
+        for (_, theta, frac, _), name, path, state, p in zip(PAPER_STATES, names, paths,
+                                                             states, grids):
+            w = wigner_transform(state, p)
+            lobes = lobe_count(w)
+            area = tile_area(state)
+            write_grid(path, GridFile(
+                axes=(w.x, w.p), payload=w.values,
+                meta={
+                    "theta": repr(theta), "t_frac": repr(frac),
+                    "lobe_count": str(lobes), "tile_area": repr(area),
+                    "wigner_prefactor": "1/pi",
+                },
+            ))
+            print(f"{name:28s} {theta / math.pi:7.3f}p {frac:8.4f} {lobes:5d} "
+                  f"{w.values.min():9.4f} {area:9.4f}")
+        out.commit()
+    finally:
+        out.discard()
     return 0
 
 

@@ -14,7 +14,8 @@ import numpy as np
 
 from .czt import CZT
 from .errors import GridError, InvalidParameterError, TruncationError
-from .wavepacket import StateGrid, WavePacketModel, _check_uniform
+from .morse import _check_uniform
+from .wavepacket import StateGrid, WavePacketModel
 from .wigner import (_moment_rows, _spread, _trapezoid, auto_momentum_grid, wigner_overlap,
                      wigner_transform)
 

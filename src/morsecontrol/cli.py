@@ -35,9 +35,9 @@ import numpy as np
 
 from . import __version__
 from .analysis import carpet, fringe_amplitude, sensitivity_scan, tile_area, uncertainties
-from .config import (RunConfig, apply_environment, apply_overrides, build_model,
+from .config import (RunConfig, _grid_error, apply_environment, apply_overrides, build_model,
                      config_times, momentum_grid, parse_config, validate_config)
-from .errors import ConfigError, RangeAliasingError, TruncationError
+from .errors import ConfigError, GridError, RangeAliasingError, TruncationError
 from .gridfile import GridFile, write_grid
 from .morse import MorseParams, characteristic_times, eigenfunction_with_capture, eigenstate
 from .textfmt import float_text
@@ -285,7 +285,10 @@ def cmd_eigen(ws: _Workspace, out: _Outputs) -> None:
     rows = []
     for m in range(ws.cfg.n_levels):
         es = eigenstate(ws.params, m)
-        psi, capture = eigenfunction_with_capture(ws.params, m, ws.x)
+        try:
+            psi, capture = eigenfunction_with_capture(ws.params, m, ws.x)
+        except GridError as exc:
+            raise _grid_error(ws.cfg, str(exc)) from exc
         norm = float(np.trapezoid(psi * psi, ws.x))
         rows.append(ws.row(m, es.energy, es.exponent, norm, capture))
     out.csv("eigen.csv", ws.header("m,energy,exponent,norm,capture", *rows))

@@ -14,11 +14,12 @@ import math
 import re
 import warnings
 from collections.abc import Mapping
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
+from typing import get_type_hints
 
 import numpy as np
 
-from .errors import ConfigError, RangeAliasingError, SpacingAliasingError
+from .errors import ConfigError, GridError, RangeAliasingError, SpacingAliasingError
 from .morse import I2, MorseParams
 from .wavepacket import StateGrid, WavePacketModel, split_even_odd, su2_coefficients
 from .wigner import auto_momentum_grid, check_momentum_grid
@@ -100,34 +101,17 @@ class RunConfig:
     format: str = "full"
 
 
-_PARSERS = {
-    "beta": float,
-    "mu": float,
-    "r0": float,
-    "D": float,
-    "alpha": float,
-    "n_levels": int,
-    "x_min": float,
-    "x_max": float,
-    "nx": int,
-    "np": int,
-    "auto_p": _parse_bool,
-    "p_max": float,
-    "theta": lambda v: _parse_float_list(v, parse_angle),
-    "t_frac": lambda v: _parse_float_list(v, parse_fraction),
-    "t_au": lambda v: _parse_float_list(v, float),
-    "theta_count": int,
-    "steps": int,
-    "max_shift": lambda v: None if v.strip().lower() == "auto" else float(v),
-    "direction": str,
-    "lobe_threshold": float,
-    "outdir": str,
-    "workers": int,
-    "format": str,
-}
-
-_FIELD_NAMES = {f.name for f in fields(RunConfig)}
-assert set(_PARSERS) == _FIELD_NAMES
+#: Each key's parser: by its annotated type in RunConfig, except for the keys
+#: whose text is a list or may be ``auto``.
+_BY_TYPE = {float: float, int: int, str: str, bool: _parse_bool, float | None: float}
+_PARSERS = {name: _BY_TYPE.get(hint) for name, hint in get_type_hints(RunConfig).items()}
+_PARSERS.update(
+    theta=lambda v: _parse_float_list(v, parse_angle),
+    t_frac=lambda v: _parse_float_list(v, parse_fraction),
+    t_au=lambda v: _parse_float_list(v, float),
+    max_shift=lambda v: None if v.strip().lower() == "auto" else float(v),
+)
+assert all(_PARSERS.values()), "every RunConfig key needs a parser"
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -153,8 +137,12 @@ def validate_config(cfg: RunConfig, where: str = "config") -> RunConfig:
             fail(key, f"must be a power of two >= 128, got {value}")
     if not cfg.x_min < cfg.x_max:
         fail("x_min", f"x_min={cfg.x_min} must be below x_max={cfg.x_max}")
+    if not math.isfinite(cfg.x_max - cfg.x_min):
+        fail("x_min, x_max", f"the range x_max - x_min must be finite, got {cfg.x_max - cfg.x_min}")
     if cfg.p_max is not None and cfg.p_max <= 0:
         fail("p_max", f"must be positive, got {cfg.p_max}")
+    if cfg.p_max is not None and not math.isfinite(2.0 * cfg.p_max):
+        fail("p_max", f"the range 2*p_max must be finite, got {2.0 * cfg.p_max}")
     if not cfg.auto_p and cfg.p_max is None:
         fail("p_max", "a positive p_max is required when auto_p is false")
     if cfg.t_frac is not None and cfg.t_au is not None:
@@ -249,34 +237,44 @@ def apply_environment(cfg: RunConfig, environ: Mapping[str, str]) -> RunConfig:
 GRAM_TOLERANCE = 1e-8
 
 
+def _grid_error(cfg: RunConfig, cause: str) -> ConfigError:
+    """The error of a position grid of ``cfg`` that cannot hold the packet
+    for ``cause``, naming ``nx, x_min, x_max``."""
+    return ConfigError(
+        f"config: nx, x_min, x_max: the grid x_min={cfg.x_min!r}..x_max={cfg.x_max!r} "
+        f"at nx={cfg.nx} cannot hold the packet: {cause}; the grid must cover the well "
+        "and sample it finely: move x_min..x_max onto the well or raise nx")
+
+
 def build_model(cfg: RunConfig) -> WavePacketModel:
     """The packet model of ``cfg``: its well, its split ladder and its position grid.
 
     A ladder that cannot be split into two parity families raises ConfigError
-    naming ``alpha, n_levels``. A grid on which the eigenfunctions are not
-    orthonormal, the Gram matrix of the table under trapezoid weights off the
-    identity by more than GRAM_TOLERANCE, cannot hold the packet and raises
-    ConfigError naming ``nx, x_min, x_max``. The warnings of building the
-    table (TruncationWarning) are held until the grid passes, then issued;
-    a grid that fails drops them, as its error names the cause."""
+    naming ``alpha, n_levels``. A grid on which the eigen table cannot be
+    built (GridError), or on which the eigenfunctions are not orthonormal,
+    the Gram matrix of the table under trapezoid weights off the identity by
+    more than GRAM_TOLERANCE, cannot hold the packet and raises ConfigError
+    naming ``nx, x_min, x_max``. The warnings of building the table
+    (TruncationWarning) are held until the grid passes, then issued; a grid
+    that fails drops them, as its error names the cause."""
     try:
         coeffs = split_even_odd(su2_coefficients(cfg.alpha, cfg.n_levels - 1))
     except ValueError as exc:
         raise ConfigError(f"config: alpha, n_levels: coherent ladder invalid: {exc}") from exc
     with warnings.catch_warnings(record=True) as held:
         warnings.simplefilter("always")
-        model = WavePacketModel(MorseParams(beta=cfg.beta, mu=cfg.mu, r0=cfg.r0, D=cfg.D),
-                                coeffs, np.linspace(cfg.x_min, cfg.x_max, cfg.nx))
+        try:
+            model = WavePacketModel(MorseParams(beta=cfg.beta, mu=cfg.mu, r0=cfg.r0, D=cfg.D),
+                                    coeffs, np.linspace(cfg.x_min, cfg.x_max, cfg.nx))
+        except GridError as exc:
+            raise _grid_error(cfg, str(exc)) from exc
     weights = np.full(cfg.nx, model.dx)
     weights[[0, -1]] *= 0.5
     gram = np.einsum("mx,nx,x->mn", model.table, model.table, weights)
     deviation = float(np.abs(gram - np.eye(len(gram))).max())
     if deviation > GRAM_TOLERANCE:
-        raise ConfigError(
-            f"config: nx, x_min, x_max: the grid x_min={cfg.x_min!r}..x_max={cfg.x_max!r} "
-            f"at nx={cfg.nx} cannot hold the packet: the eigenfunctions' Gram matrix is off "
-            f"the identity by {deviation:.6g} (bound {GRAM_TOLERANCE:g}); the grid must "
-            "cover the well and sample it finely: move x_min..x_max onto the well or raise nx")
+        raise _grid_error(cfg, f"the eigenfunctions' Gram matrix is off the identity by "
+                               f"{deviation:.6g} (bound {GRAM_TOLERANCE:g})")
     for caught in held:
         warnings.warn_explicit(caught.message, caught.category, caught.filename, caught.lineno,
                                source=caught.source)

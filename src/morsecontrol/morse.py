@@ -60,6 +60,9 @@ class MorseParams:
             raise InvalidParameterError(
                 f"depth parameter {depth:.6g} <= 1/2: the well supports no bound state"
             )
+        # the energies and the revival time take its square
+        if not math.isfinite(depth * depth):
+            raise InvalidParameterError(f"depth parameter {depth:.6g} overflows when squared")
 
     @cached_property
     def depth(self) -> float:
@@ -100,6 +103,12 @@ def _check_level(params: MorseParams, m: int) -> None:
         )
 
 
+def _check_levels(params: MorseParams, n_levels: int) -> None:
+    if not 1 <= n_levels <= params.bound_state_count:
+        raise InvalidParameterError(
+            f"n_levels={n_levels} outside the bound levels 1..{params.bound_state_count}")
+
+
 def energy(params: MorseParams, m: int) -> float:
     """Bound-state energy -(D/depth**2)*(depth - m - 1/2)**2."""
     _check_level(params, m)
@@ -108,16 +117,12 @@ def energy(params: MorseParams, m: int) -> float:
 
 
 def eigenstate(params: MorseParams, m: int) -> Eigenstate:
-    _check_level(params, m)
     return Eigenstate(m=m, energy=energy(params, m), exponent=params.depth - m - 0.5)
 
 
 def energies(params: MorseParams, n_levels: int) -> np.ndarray:
     """Energies of the lowest ``n_levels`` bound states."""
-    if n_levels < 1 or n_levels > params.bound_state_count:
-        raise InvalidParameterError(
-            f"n_levels={n_levels} outside 1..{params.bound_state_count}"
-        )
+    _check_levels(params, n_levels)
     return np.array([energy(params, m) for m in range(n_levels)])
 
 
@@ -139,12 +144,31 @@ def morse_potential(params: MorseParams, x: np.ndarray) -> np.ndarray:
     return params.D * (e * e - 2.0 * e)
 
 
+def _check_uniform(x: np.ndarray) -> np.ndarray:
+    """The steps ``np.diff(x)`` of the grid x; raise GridError unless x is
+    1-d, strictly increasing, finite and uniformly spaced."""
+    if x.ndim != 1:
+        raise GridError("grid must be a 1-d array")
+    steps = np.diff(x)
+    # A NaN step makes the minimum NaN, which is not > 0.
+    if x.size < 2 or not (low := steps.min()) > 0:
+        raise GridError("grid must be strictly increasing")
+    # Increasing, so finite if both ends are.
+    if not (math.isfinite(x[0]) and math.isfinite(x[-1])):
+        raise GridError("grid must be finite")
+    # fl(s - s0) is monotone in s, so the extreme steps decide |s - s0| <= tol.
+    s0 = steps[0]
+    tol = 1e-9 * s0
+    if not (steps.max() - s0 <= tol and s0 - low <= tol):
+        raise GridError("grid must be uniformly spaced")
+    return steps
+
+
 def _check_grid(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or x.size < MIN_GRID_POINTS:
         raise GridError(f"grid needs at least {MIN_GRID_POINTS} points, got {x.size}")
-    if not np.all(np.diff(x) > 0):
-        raise GridError("grid must be strictly increasing")
+    _check_uniform(x)
     return x
 
 
@@ -222,9 +246,6 @@ def eigenfunction_with_capture(params: MorseParams, m: int,
 
 def eigenfunction_table(params: MorseParams, n_levels: int, x_grid: np.ndarray) -> np.ndarray:
     """Stacked eigenfunctions, shape (n_levels, len(x_grid))."""
-    if n_levels < 1 or n_levels > params.bound_state_count:
-        raise InvalidParameterError(
-            f"n_levels={n_levels} exceeds the {params.bound_state_count} bound states"
-        )
+    _check_levels(params, n_levels)
     x = _check_grid(x_grid)
     return np.stack([evaluate_eigenfunction(params, m, x) for m in range(n_levels)])

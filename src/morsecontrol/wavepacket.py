@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateSplitError, GridError, InvalidParameterError
-from .morse import MorseParams, eigenfunction_table, energies
+from .morse import MorseParams, _check_uniform, eigenfunction_table, energies
 
 
 def su2_coefficients(alpha: float, n_max: int) -> "CoefficientSet":
@@ -37,7 +37,10 @@ def su2_coefficients(alpha: float, n_max: int) -> "CoefficientSet":
     else:
         log_fact = np.array([math.lgamma(k + 1) for k in m])
         log_binom = 0.5 * (log_fact[n_max] - log_fact - log_fact[::-1])
-        log_c = log_binom + m * math.log(abs(alpha)) - 0.5 * n_max * math.log1p(alpha * alpha)
+        log_norm = math.log1p(alpha * alpha)
+        if not math.isfinite(log_norm):  # alpha**2 overflows above about 1.3e154
+            raise InvalidParameterError(f"alpha={alpha!r} overflows the ladder amplitudes")
+        log_c = log_binom + m * math.log(abs(alpha)) - 0.5 * n_max * log_norm
         sign = np.where(m % 2 == 1, math.copysign(1.0, alpha), 1.0)
         c = sign * np.exp(log_c - log_c.max())
     c = c / math.sqrt(float(np.sum(c * c)))
@@ -80,26 +83,6 @@ class CoefficientSet:
     @property
     def is_split(self) -> bool:
         return self.even_amplitudes is not None and self.odd_amplitudes is not None
-
-
-def _check_uniform(x: np.ndarray) -> np.ndarray:
-    """The steps ``np.diff(x)`` of the grid x; raise GridError unless x is
-    1-d, strictly increasing, finite and uniformly spaced."""
-    if x.ndim != 1:
-        raise GridError("grid must be a 1-d array")
-    steps = np.diff(x)
-    # A NaN step makes the minimum NaN, which is not > 0.
-    if x.size < 2 or not (low := steps.min()) > 0:
-        raise GridError("grid must be strictly increasing")
-    # Increasing, so finite if both ends are.
-    if not (math.isfinite(x[0]) and math.isfinite(x[-1])):
-        raise GridError("grid must be finite")
-    # fl(s - s0) is monotone in s, so the extreme steps decide |s - s0| <= tol.
-    s0 = steps[0]
-    tol = 1e-9 * s0
-    if not (steps.max() - s0 <= tol and s0 - low <= tol):
-        raise GridError("grid must be uniformly spaced")
-    return steps
 
 
 class _ParitySheet:
@@ -202,10 +185,6 @@ class WavePacketModel:
         if not coeffs.is_split:
             coeffs = split_even_odd(coeffs)
         n_levels = coeffs.n_max + 1
-        if n_levels > params.bound_state_count:
-            raise InvalidParameterError(
-                f"{n_levels} levels requested but only {params.bound_state_count} are bound"
-            )
         x = np.array(x_grid, dtype=float)
         _check_uniform(x)
         x.flags.writeable = False

@@ -19,7 +19,6 @@ same at any thread count, so the results are too.
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 import threading
@@ -30,7 +29,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .czt import CZT, next_fast_len
 from .errors import GridError, InvalidParameterError, RangeAliasingError, SpacingAliasingError
-from .wavepacket import StateGrid, _check_uniform
+from .morse import _check_uniform
+from .wavepacket import StateGrid
 
 DEFAULT_MOMENTUM_POINTS = 512
 MOMENTUM_SPAN_FACTOR = 5.0
@@ -66,16 +66,6 @@ class WignerGrid:
         return float(self.p[1] - self.p[0])
 
 
-@functools.lru_cache(maxsize=8)
-def _momentum_bins(n: int, dx: float) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only DFT momentum bins 2*pi*fftfreq(n, dx) and their squares."""
-    p_bins = 2.0 * math.pi * np.fft.fftfreq(n, d=dx)
-    p_squared = p_bins * p_bins
-    p_bins.flags.writeable = False
-    p_squared.flags.writeable = False
-    return p_bins, p_squared
-
-
 def _trapezoid(y: np.ndarray, steps: np.ndarray) -> float:
     """Trapezoid integral of y over a 1-d grid whose steps are ``np.diff(x)``.
 
@@ -101,7 +91,8 @@ def _moment_rows(x: np.ndarray, densities: tuple[np.ndarray, ...],
     x_squared = x * x
     n = x.size
     dx = float(steps[0])
-    p_bins, p_squared = _momentum_bins(n, dx)
+    p_bins = 2.0 * math.pi * np.fft.fftfreq(n, d=dx)
+    p_squared = p_bins * p_bins
     dp = 2.0 * math.pi / (n * dx)
     scaled = [y * dx * dx / (2.0 * math.pi) for y in spectra]
     return (

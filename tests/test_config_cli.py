@@ -342,6 +342,36 @@ def test_unbuildable_ladder_names_its_keys(tmp_path, capsys, setting, message):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command, settings, keys", [
+    ("eigen", ("r0=1e300",), "beta, mu, r0, D"),
+    ("state", ("r0=1e300",), "beta, mu, r0, D"),
+    ("metrics", ("beta=1e-300",), "beta, mu, r0, D"),
+    ("eigen", ("mu=1e308", "D=1e308"), "beta, mu, r0, D"),
+    ("state", ("alpha=1e300",), "alpha, n_levels"),
+    ("metrics", ("alpha=1e300",), "alpha, n_levels"),
+    ("eigen", ("x_min=-1e308", "x_max=1e308"), "x_min, x_max"),
+    ("state", ("x_min=-1e308", "x_max=1e308"), "x_min, x_max"),
+    ("eigen", ("D=1e300",), "nx, x_min, x_max"),
+    ("state", ("D=1e300",), "nx, x_min, x_max"),
+    ("eigen", ("mu=1e300",), "nx, x_min, x_max"),
+    ("metrics", ("mu=1e300",), "nx, x_min, x_max"),
+    ("wigner", ("auto_p=false", "p_max=1e308"), "p_max"),
+])
+def test_extreme_finite_settings_exit_1_naming_their_keys(tmp_path, capsys, command,
+                                                          settings, keys):
+    outdir = tmp_path / "out"
+    args = [command, "--outdir", str(outdir)] + BASE
+    for setting in settings:
+        args += ["--set", setting]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_cli(args) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: config: {keys}: "), lines
+    assert [str(w.message) for w in caught] == []
+    assert not outdir.exists()
+
+
 PACKET_COMMANDS = [name for name in COMMANDS if name != "eigen"]
 
 

@@ -1,7 +1,7 @@
 """scripts/run_phase_space_gallery.py: its grids follow --nx and --np, and a
 bad grid size or an aliasing grid exits with the configuration's own
 message, and an outdir that cannot be created exits naming it, before any
-file is written."""
+file is written; an interrupted run leaves the output directory as it was."""
 
 import importlib.util
 import sys
@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from morsecontrol import read_grid
+from morsecontrol.gridfile import write_grid
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "run_phase_space_gallery.py"
 _spec = importlib.util.spec_from_file_location("run_phase_space_gallery", SCRIPT)
@@ -59,3 +60,22 @@ def test_outdir_that_is_a_file_exits_naming_it(tmp_path, monkeypatch, capsys):
     assert exc.value.code.startswith("error: outdir: ") and str(blocker) in exc.value.code
     assert blocker.read_text() == "x"
     assert capsys.readouterr().out == ""
+
+
+def test_interrupt_mid_write_leaves_the_directory_as_it_was(tmp_path, monkeypatch):
+    (tmp_path / "cat_t0.wgrd").write_bytes(b"previous run")
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    written = []
+
+    def interrupted_on_third(path, grid):
+        written.append(path)
+        if len(written) < 3:
+            return write_grid(path, grid)
+        path.write_bytes(b"partial grid.")
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(gallery, "write_grid", interrupted_on_third)
+    with pytest.raises(KeyboardInterrupt):
+        run(monkeypatch, "--outdir", str(tmp_path), "--nx", "1024", "--np", "128")
+    assert len(written) == 3
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from morsecontrol import (
     ATOMIC_TIME_SECONDS,
     I2,
     MorseParams,
+    WavePacketModel,
     characteristic_times,
     depth_parameter,
     eigenfunction_table,
@@ -17,6 +19,8 @@ from morsecontrol import (
     energy,
     evaluate_eigenfunction,
     morse_potential,
+    split_even_odd,
+    su2_coefficients,
 )
 from morsecontrol.errors import GridError, InvalidParameterError, TruncationWarning
 from morsecontrol.morse import eigenfunction_with_capture
@@ -156,6 +160,29 @@ def test_small_grid_rejected():
 def test_decreasing_grid_rejected():
     with pytest.raises(GridError, match="increasing"):
         evaluate_eigenfunction(I2, 0, np.linspace(0.4, -0.2, 64))
+
+
+@pytest.mark.parametrize("grid, message", [
+    (np.geomspace(1.0, 1.7, 256) - 1.25, "grid must be uniformly spaced"),
+    (np.append(np.linspace(-0.25, 0.45, 255), np.inf), "grid must be finite"),
+], ids=["non-uniform", "non-finite"])
+def test_eigenfunction_grid_passes_the_uniform_grid_check(grid, message):
+    with pytest.raises(GridError, match=message):
+        evaluate_eigenfunction(I2, 0, grid)
+
+
+def test_too_many_levels_rejected_with_one_message():
+    shallow = MorseParams(beta=1.0, mu=8.0, r0=1.0, D=0.5)  # 3 bound states
+    x = np.linspace(-0.6, 3.0, 256)
+    for n in (0, 4):
+        message = re.escape(f"n_levels={n} outside the bound levels 1..3")
+        with pytest.raises(InvalidParameterError, match=message):
+            energies(shallow, n)
+        with pytest.raises(InvalidParameterError, match=message):
+            eigenfunction_table(shallow, n, x)
+    with pytest.raises(InvalidParameterError, match=re.escape(
+            "n_levels=4 outside the bound levels 1..3")):
+        WavePacketModel(shallow, split_even_odd(su2_coefficients(1.0, 3)), x)
 
 
 def test_rayleigh_quotient_energies():

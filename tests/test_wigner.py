@@ -263,18 +263,6 @@ def test_spectral_moments_equal_expression_oracle(model, times):
             assert spectral_moments(state) == _expression_spectral_moments(state)
 
 
-def test_cached_momentum_bins_are_read_only(smoke_x):
-    spectral_moments(gaussian_state(smoke_x))
-    n, dx = smoke_x.size, float(smoke_x[1] - smoke_x[0])
-    p_bins, p_squared = wigner._momentum_bins(n, dx)
-    assert wigner._momentum_bins(n, dx)[0] is p_bins
-    for bins in (p_bins, p_squared):
-        assert not bins.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            bins[0] = 1.0
-    assert np.array_equal(p_squared, p_bins * p_bins)
-
-
 def test_momentum_grid_must_cover_spectrum(smoke_x):
     state = gaussian_state(smoke_x, p0=5.0, sigma=0.5)
     with pytest.raises(AliasingError, match="spectral content"):
