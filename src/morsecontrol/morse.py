@@ -145,11 +145,12 @@ def morse_potential(params: MorseParams, x: np.ndarray) -> np.ndarray:
 
 
 def _check_uniform(x: np.ndarray) -> np.ndarray:
-    """The steps ``np.diff(x)`` of the grid x; raise GridError unless x is
-    1-d, strictly increasing, finite and uniformly spaced."""
+    """The steps ``x[1:] - x[:-1]`` (``np.diff(x)``) of the grid x; raise
+    GridError unless x is 1-d, strictly increasing, finite and uniformly
+    spaced."""
     if x.ndim != 1:
         raise GridError("grid must be a 1-d array")
-    steps = np.diff(x)
+    steps = x[1:] - x[:-1]
     # A NaN step makes the minimum NaN, which is not > 0.
     if x.size < 2 or not (low := steps.min()) > 0:
         raise GridError("grid must be strictly increasing")
@@ -201,12 +202,15 @@ def _analytic_eigenfunction(params: MorseParams, m: int, x: np.ndarray) -> np.nd
     lam = params.depth
     s = lam - m - 0.5
     order = 2.0 * s
-    xi = 2.0 * lam * np.exp(-params.beta * x)
-
     log_norm = 0.5 * (
         math.log(params.beta) + math.log(order) + math.lgamma(m + 1) - math.lgamma(2.0 * lam - m)
     )
-    log_pre = log_norm + s * np.log(xi) - 0.5 * xi
+    # Far left of the well exp(-beta*x) overflows, far right it underflows to
+    # 0; log_pre is then NaN or -inf there, and the alive mask below zeroes
+    # those samples.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        xi = 2.0 * lam * np.exp(-params.beta * x)
+        log_pre = log_norm + s * np.log(xi) - 0.5 * xi
 
     # Where the prefactor underflows to zero the Laguerre value is irrelevant;
     # clip xi there so the recurrence cannot overflow on extreme grids.

@@ -136,7 +136,8 @@ class StateGrid:
 
     @property
     def density(self) -> np.ndarray:
-        return np.abs(self.psi) ** 2
+        density = np.abs(self.psi)
+        return np.square(density, out=density)
 
     def norm(self) -> float:
         """Quadrature norm integral of |psi|^2."""
@@ -228,11 +229,16 @@ class WavePacketModel:
         return StateGrid._on_checked_grid(
             self.x, sheet.even if parity == "even" else sheet.odd, None, t)
 
-    def _mix(self, theta: float, t: float) -> tuple[float, tuple, np.ndarray]:
-        """theta reduced mod 2*pi, (a, b, packets at t), and psi = a*even + b*odd."""
+    def _mix(self, theta: float, t: float, psi: np.ndarray | None = None,
+             scratch: np.ndarray | None = None) -> tuple[float, tuple, np.ndarray]:
+        """theta reduced mod 2*pi, (a, b, packets at t), and psi = a*even + b*odd,
+        written into the complex grid-length buffers ``psi`` and ``scratch``
+        when they are given."""
         th, a, b = _phase_weights(theta)
         sheet = self._packets(t)
-        return th, (a, b, sheet), a * sheet.even + b * sheet.odd
+        psi = np.multiply(a, sheet.even, out=psi)
+        psi += np.multiply(b, sheet.odd, out=scratch)
+        return th, (a, b, sheet), psi
 
     def phase_locked(self, theta: float, t: float) -> StateGrid:
         """Coherent mix of the parity packets at control phase theta.
@@ -262,7 +268,15 @@ class WavePacketModel:
 
     def density(self, theta: float, t: float) -> np.ndarray:
         """|state(theta, t)|^2 on the position grid, without building the state."""
-        return np.abs(self._mix(theta, t)[2]) ** 2
+        return self._density_into(np.empty(self.x.size), theta, t)
+
+    def _density_into(self, out: np.ndarray, theta: float, t: float,
+                      psi: np.ndarray | None = None,
+                      scratch: np.ndarray | None = None) -> np.ndarray:
+        """``density(theta, t)`` written into ``out``, with ``psi`` and
+        ``scratch`` as the complex buffers of ``_mix`` when given."""
+        np.abs(self._mix(theta, t, psi, scratch)[2], out=out)
+        return np.square(out, out=out)
 
     def density_decomposition(self, theta: float, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Even, odd and cross contributions whose pointwise sum is the density.

@@ -70,9 +70,12 @@ def _trapezoid(y: np.ndarray, steps: np.ndarray) -> float:
     """Trapezoid integral of y over a 1-d grid whose steps are ``np.diff(x)``.
 
     The operations of ``np.trapezoid(y, x)`` in its order, so the same bits,
-    with the steps computed once by the caller.
+    with the steps computed once by the caller and one temporary array.
     """
-    return float((steps * (y[1:] + y[:-1]) / 2.0).sum())
+    pairs = np.add(y[1:], y[:-1])
+    np.multiply(steps, pairs, out=pairs)
+    pairs /= 2.0
+    return float(pairs.sum())
 
 
 def _moment_rows(x: np.ndarray, densities: tuple[np.ndarray, ...],
@@ -87,7 +90,7 @@ def _moment_rows(x: np.ndarray, densities: tuple[np.ndarray, ...],
     exact for the sampled state; summation order is fixed, so the results
     are reproducible bit for bit.
     """
-    steps = np.diff(x)
+    steps = x[1:] - x[:-1]
     x_squared = x * x
     n = x.size
     dx = float(steps[0])

@@ -110,7 +110,8 @@ def _loop_moving_average(padded, half):
                      for i in range(len(running) - width)])
 
 
-def _loop_fringe_amplitude(density, x, r0, moving_average=_loop_moving_average):
+def _loop_fringe_amplitude(density, x, r0, moving_average=_loop_moving_average,
+                           window_floor=FRINGE_WINDOW_FLOOR):
     """Fringe amplitude by the element-by-element loops on float64 values.
 
     The same background, hysteresis and run tests as ``fringe_amplitude``,
@@ -119,7 +120,8 @@ def _loop_fringe_amplitude(density, x, r0, moving_average=_loop_moving_average):
     (``_loop_alternating_extrema``) and one over the windows of
     FRINGE_MIN_EXTREMA extrema, with ``np.median`` for the spacing of the
     maxima: the oracle for the cumulative sum, the turn scan, the list
-    median and the vectorised run scoring.
+    median and the vectorised run scoring. ``window_floor`` stands in for
+    FRINGE_WINDOW_FLOOR, so that a test can pin the constant's value.
     """
     density = np.asarray(density, dtype=float)
     x = np.asarray(x, dtype=float)
@@ -131,9 +133,9 @@ def _loop_fringe_amplitude(density, x, r0, moving_average=_loop_moving_average):
     maxima = np.flatnonzero(is_max) + 1
     if maxima.size >= 2:
         window = max(FRINGE_WINDOW_FACTOR * float(np.median(np.diff(x[maxima]))),
-                     FRINGE_WINDOW_FLOOR)
+                     window_floor)
     else:
-        window = FRINGE_WINDOW_FLOOR
+        window = window_floor
     half = min(max(int(round(0.5 * window / dx)), 1), density.size - 1)
     padded = np.concatenate([density[half:0:-1], density, density[-2:-half - 2:-1]])
     residual = density - moving_average(padded, half)

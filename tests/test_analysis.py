@@ -168,6 +168,53 @@ def test_alternating_extrema_fixed_cases(values, floor, expected, loop_alternati
     assert _alternating_extrema(np.array(values), floor) == expected
 
 
+def test_fringe_amplitude_accepts_three_samples():
+    # the smallest grid it takes; a flat density has no extremum, so 0.0
+    density = np.full(3, 0.5)
+    assert fringe_amplitude(density, np.array([0.0, 1.0, 2.0]), 1.0) == 0.0
+
+
+def test_fringe_amplitude_normalization_tolerance(toy_x):
+    density = np.exp(-(toy_x**2))
+    density /= np.trapezoid(density, toy_x)
+    assert fringe_amplitude(1.0008 * density, toy_x, 1.0) == 0.0
+    with pytest.raises(InvalidParameterError, match="integral is 1.0012"):
+        fringe_amplitude(1.0012 * density, toy_x, 1.0)
+
+
+def test_fringe_window_floor_binds(loop_fringe_amplitude):
+    # 0.002-period fringes: 7 times their spacing is 0.014, so the window is
+    # the floor's, and a floor of 0.03 would read 6.7430 instead
+    x = np.linspace(0.0, 1.0, 2001)
+    density = np.exp(-((x - 0.5) ** 2) / (2 * 0.03**2)) * (1.0 + 0.5 * np.cos(2 * math.pi * x / 0.002))
+    density /= np.trapezoid(density, x)
+    value = fringe_amplitude(density, x, 1.0)
+    assert value == loop_fringe_amplitude(density, x, 1.0, window_floor=0.02)
+    assert value == pytest.approx(6.4949, abs=1e-4)
+
+
+@st.composite
+def plateau_densities(draw):
+    """Small-integer densities built from runs of equal values, so plateaus
+    and exact ties between extrema are common, normalised on a linspace grid."""
+    runs = draw(st.lists(st.tuples(st.integers(0, 4), st.integers(1, 6)), min_size=1, max_size=80))
+    values = np.repeat([float(v) for v, _ in runs], [k for _, k in runs])
+    size = draw(st.integers(3, 300))
+    values = np.resize(values, size)
+    if not values.any():
+        values[size // 2] = 1.0
+    start = draw(st.sampled_from([-1.0, 0.0, 2.5]))
+    x = np.linspace(start, start + draw(st.sampled_from([0.05, 0.3, 1.0, 4.0])), size)
+    return values / np.trapezoid(values, x), x
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=plateau_densities())
+def test_fringe_amplitude_matches_loop_on_plateaus(case, loop_fringe_amplitude):
+    density, x = case
+    assert fringe_amplitude(density, x, 1.0) == loop_fringe_amplitude(density, x, 1.0)
+
+
 def test_fringe_amplitude_per_r_scaling():
     x = np.linspace(-4.0, 4.0, 2048)
     density = np.exp(-(x**2) / 0.5) * (1.0 + 0.6 * np.cos(2.0 * math.pi * x / 0.012))

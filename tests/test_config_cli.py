@@ -429,6 +429,18 @@ def test_sound_grids_hold_the_packet(grid):
     assert model.table.shape == (24, grid.get("nx", 2048))
 
 
+@pytest.mark.parametrize("setting", ["x_min=-200", "x_max=1e5"])
+def test_far_grid_eigen_prints_no_numpy_warning(tmp_path, setting):
+    # exp(-beta*x) overflows far left of the well and underflows far right;
+    # the samples there are zeroed, so numpy's warnings about them are noise
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_cli(["eigen", "--outdir", str(tmp_path), *BASE, "--set", setting]) == 0
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    assert any(issubclass(w.category, TruncationWarning) for w in caught)
+    assert (tmp_path / "eigen.csv").exists()
+
+
 @pytest.mark.filterwarnings("ignore::morsecontrol.errors.TruncationWarning")
 def test_eigen_reports_capture_on_a_grid_that_misses_the_well(tmp_path):
     # eigen builds no packet: it keeps writing each level's capture

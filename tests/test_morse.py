@@ -55,6 +55,13 @@ def test_no_bound_state_rejected():
         MorseParams(beta=10.0, mu=0.5, r0=1.0, D=0.1)
 
 
+def test_depth_of_exactly_one_half_rejected():
+    # sqrt(2*0.5*0.25) = 0.5 exactly: level 0 would have exponent 0, not > 0
+    assert depth_parameter(1.0, 0.5, 1.0, 0.25) == 0.5
+    with pytest.raises(InvalidParameterError, match="bound state"):
+        MorseParams(beta=1.0, mu=0.5, r0=1.0, D=0.25)
+
+
 def test_energy_quarter_depth_at_unit_depth():
     params = MorseParams(beta=2.828427, mu=2.0, r0=1.0, D=2.0)  # depth = 1
     assert energy(params, 0) == pytest.approx(-params.D / 4.0, rel=1e-6)
