@@ -276,11 +276,9 @@ def displaced_state(state: StateGrid, dx_shift: float = 0.0, dp_shift: float = 0
     psi = state.psi
     x = state.x
     if dx_shift != 0.0:
-        rho = state.density
-        if dx_shift > 0.0:
-            clipped = float(np.trapezoid(rho[x > x[-1] - dx_shift], x[x > x[-1] - dx_shift]))
-        else:
-            clipped = float(np.trapezoid(rho[x < x[0] - dx_shift], x[x < x[0] - dx_shift]))
+        # the samples that the shift carries past the edge it moves toward
+        edge = x > x[-1] - dx_shift if dx_shift > 0.0 else x < x[0] - dx_shift
+        clipped = float(np.trapezoid(state.density[edge], x[edge]))
         if clipped > 1e-6:
             raise TruncationError(
                 f"shift {dx_shift:.4g} pushes {clipped:.3g} of the norm off the grid"

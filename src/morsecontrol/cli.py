@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import re
 import shutil
 import signal
 import sys
@@ -35,8 +36,8 @@ import numpy as np
 
 from . import __version__
 from .analysis import carpet, fringe_amplitude, sensitivity_scan, tile_area, uncertainties
-from .config import (RunConfig, _grid_error, apply_environment, apply_overrides, build_model,
-                     config_times, momentum_grid, parse_config, validate_config)
+from .config import (WORKERS_ENV_VAR, RunConfig, _assign, _config_items, _grid_error,
+                     _override_items, build_model, config_times, momentum_grid, validate_config)
 from .errors import ConfigError, GridError, RangeAliasingError, TruncationError
 from .gridfile import GridFile, write_grid
 from .morse import MorseParams, characteristic_times, eigenfunction_with_capture, eigenstate
@@ -216,6 +217,7 @@ def _write_grid_csv(ws: _Workspace, path: Path, header: list[str], row_axis: np.
         return _grid_lines(ws, row_axis[rows], col_axis, values[rows])
 
     children: list[tuple[int, Path]] = []
+    reaped: set[int] = set()
     try:
         # The row-block thread pools have shut down by now, so this process
         # runs no thread of the package's own; a child only formats and
@@ -235,6 +237,7 @@ def _write_grid_csv(ws: _Workspace, path: Path, header: list[str], row_axis: np.
         _write_lines(path, chain(header, span(0)))
         for k, (pid, part) in enumerate(children, start=1):
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            reaped.add(pid)
             if code != 0:
                 raise RuntimeError(f"formatting rows {bounds[k]} to {bounds[k + 1] - 1} "
                                    f"of {path.name} failed in process {pid} (exit {code})")
@@ -242,7 +245,9 @@ def _write_grid_csv(ws: _Workspace, path: Path, header: list[str], row_axis: np.
                 shutil.copyfileobj(src, dst)
     finally:
         for pid, part in children:
-            _stop(pid)
+            if pid not in reaped:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
             part.unlink(missing_ok=True)
 
 
@@ -262,16 +267,6 @@ def _write_part(path: Path, lines: Callable[[], Iterable[str]],
         sys.stderr.flush()
     finally:
         os._exit(code)
-
-
-def _stop(pid: int) -> None:
-    """Kill and reap the child ``pid`` unless it has been reaped already."""
-    try:
-        if os.waitpid(pid, os.WNOHANG)[0] == 0:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-    except ChildProcessError:
-        pass
 
 
 def _lattice(ws: _Workspace):
@@ -446,7 +441,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def load_config(args: argparse.Namespace) -> RunConfig:
-    cfg = validate_config(RunConfig())
+    """The defaults, then the --config file's lines, --outdir, each --set and
+    MORSECONTROL_WORKERS, assigned in order and validated once. A validation
+    error names the file or the variable when it names a key last set there."""
+    cfg = RunConfig()
+    origin: dict[str, str] = {}  # key -> where it was last set
+    note = ""
     if args.config is not None:
         path = Path(args.config)
         if not path.exists():
@@ -458,15 +458,28 @@ def load_config(args: argparse.Namespace) -> RunConfig:
         except UnicodeDecodeError as exc:
             raise ConfigError(f"config file {str(path)!r}: not UTF-8 text ({exc.reason} "
                               f"at byte {exc.start})") from exc
+        note = f" (config file {str(path)!r})"
         try:
-            cfg = parse_config(text)
+            for key, raw, where in _config_items(text):
+                cfg = _assign(cfg, key, raw, where)
+                origin[key] = note
         except ConfigError as exc:
-            raise ConfigError(f"{exc} (config file {str(path)!r})") from exc
-    if args.outdir is not None:
-        cfg = apply_overrides(cfg, [f"outdir={args.outdir}"])
-    if args.set:
-        cfg = apply_overrides(cfg, args.set)
-    return apply_environment(cfg, os.environ)
+            raise ConfigError(f"{exc}{note}") from exc
+    outdir = [] if args.outdir is None else [f"outdir={args.outdir}"]
+    env = os.environ.get(WORKERS_ENV_VAR)
+    for key, raw, where in chain(_override_items(outdir + args.set),
+                                 [] if env is None else [("workers", env, WORKERS_ENV_VAR)]):
+        cfg = _assign(cfg, key, raw, where)
+        origin[key] = where
+    try:
+        return validate_config(cfg)
+    except ConfigError as exc:
+        named = [key for key in re.findall(r"\w+", str(exc)) if key in origin]
+        if "workers" in named and origin["workers"] == WORKERS_ENV_VAR:
+            raise ConfigError(str(exc).replace("config", WORKERS_ENV_VAR, 1)) from exc
+        if any(origin[key] == note for key in named):
+            raise ConfigError(f"{exc}{note}") from exc
+        raise
 
 
 def main(argv: list[str] | None = None) -> int:

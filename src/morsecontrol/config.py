@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import re
 import warnings
-from collections.abc import Mapping
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from typing import get_type_hints
 
@@ -183,9 +183,8 @@ def _assign(cfg: RunConfig, key: str, raw: str, where: str) -> RunConfig:
     return replace(cfg, **{key: value})
 
 
-def parse_config(text: str) -> RunConfig:
-    """RunConfig from key=value text, applied on top of the defaults."""
-    cfg = RunConfig()
+def _config_items(text: str) -> Iterator[tuple[str, str, str]]:
+    """(key, raw value, where) of each key=value line of ``text``, in order."""
     seen: set[str] = set()
     for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
@@ -195,35 +194,39 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"line {lineno}: expected key=value, got {line.strip()!r}")
         key, _, raw = body.partition("=")
         key = key.strip()
-        raw = raw.strip()
         if key in seen:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         seen.add(key)
-        cfg = _assign(cfg, key, raw, f"line {lineno}")
+        yield key, raw.strip(), f"line {lineno}"
+
+
+def _override_items(overrides: list[str]) -> Iterator[tuple[str, str, str]]:
+    """(key, raw value, where) of each --set key=value pair, in order."""
+    for item in overrides:
+        if "=" not in item:
+            raise ConfigError(f"--set {item!r}: expected key=value")
+        key, _, raw = item.partition("=")
+        yield key.strip(), raw.strip(), f"--set {key.strip()}"
+
+
+def parse_config(text: str) -> RunConfig:
+    """RunConfig from key=value text, applied on top of the defaults."""
+    cfg = RunConfig()
+    for item in _config_items(text):
+        cfg = _assign(cfg, *item)
     return validate_config(cfg)
 
 
 def apply_overrides(cfg: RunConfig, overrides: list[str]) -> RunConfig:
     """Apply --set key=value pairs on top of a parsed configuration."""
-    for item in overrides:
-        if "=" not in item:
-            raise ConfigError(f"--set {item!r}: expected key=value")
-        key, _, raw = item.partition("=")
-        cfg = _assign(cfg, key.strip(), raw.strip(), f"--set {key.strip()}")
+    for item in _override_items(overrides):
+        cfg = _assign(cfg, *item)
     return validate_config(cfg)
 
 
 #: Environment override of the ``workers`` key, applied after ``--set``; like
 #: the key it is parsed and validated but has no effect on any result.
 WORKERS_ENV_VAR = "MORSECONTROL_WORKERS"
-
-
-def apply_environment(cfg: RunConfig, environ: Mapping[str, str]) -> RunConfig:
-    """Apply the MORSECONTROL_WORKERS override, if set, and revalidate."""
-    raw = environ.get(WORKERS_ENV_VAR)
-    if raw is None:
-        return cfg
-    return validate_config(_assign(cfg, "workers", raw, WORKERS_ENV_VAR), WORKERS_ENV_VAR)
 
 
 #: Largest deviation of the eigen table's Gram matrix from the identity that

@@ -130,8 +130,6 @@ def read_grid(path: str | Path) -> GridFile:
         meta = json.loads(meta_raw.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"metadata is not UTF-8 JSON: {exc}") from exc
-    if not isinstance(meta, dict) or any(
-        not isinstance(k, str) or not isinstance(v, str) for k, v in meta.items()
-    ):
+    if not isinstance(meta, dict):  # GridFile checks that it maps str to str
         raise FormatError("metadata must be a JSON object mapping str to str")
     return GridFile(axes=axes, payload=payload, meta=meta)

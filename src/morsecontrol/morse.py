@@ -47,6 +47,7 @@ class MorseParams:
     mu:   reduced mass, atomic units
     r0:   equilibrium internuclear distance, atomic units
     D:    dissociation energy, atomic units
+    depth: their dimensionless depth parameter, set and checked at construction
     """
 
     beta: float
@@ -63,11 +64,7 @@ class MorseParams:
         # the energies and the revival time take its square
         if not math.isfinite(depth * depth):
             raise InvalidParameterError(f"depth parameter {depth:.6g} overflows when squared")
-
-    @cached_property
-    def depth(self) -> float:
-        """Dimensionless depth parameter (cached)."""
-        return depth_parameter(self.beta, self.mu, self.r0, self.D)
+        object.__setattr__(self, "depth", depth)
 
     @cached_property
     def effective_mass(self) -> float:
@@ -179,11 +176,8 @@ def _laguerre_recurrence(m: int, order: float, xi: np.ndarray) -> np.ndarray:
     Benign for the small m used here; values stay well inside float64 range
     for any xi the bound-state prefactor does not already kill.
     """
-    if m == 0:
-        return np.ones_like(xi)
-    prev = np.ones_like(xi)
-    current = 1.0 + order - xi
-    for k in range(2, m + 1):
+    prev, current = np.zeros_like(xi), np.ones_like(xi)  # L_-1 and L_0
+    for k in range(1, m + 1):
         prev, current = current, (
             (2.0 * k - 1.0 + order - xi) * current - (k - 1.0 + order) * prev
         ) / k

@@ -57,7 +57,7 @@ def split_even_odd(coeffs: "CoefficientSet") -> "CoefficientSet":
     odd = c[1::2]
     w_even = float(np.sum(even * even))
     w_odd = float(np.sum(odd * odd))
-    if w_even <= 0.0 or w_odd <= 0.0 or odd.size == 0:
+    if w_even <= 0.0 or w_odd <= 0.0:
         raise DegenerateSplitError(
             f"cannot split: even weight {w_even:.3g}, odd weight {w_odd:.3g}"
         )

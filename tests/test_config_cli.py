@@ -1,6 +1,7 @@
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
 import tracemalloc
@@ -699,6 +700,25 @@ def test_failed_csv_process_keeps_previous_files(tmp_path, monkeypatch, capfd):
     _assert_no_child_left()
 
 
+def test_killed_csv_process_keeps_previous_files(tmp_path, monkeypatch, capfd):
+    args = ["wigner", "--outdir", str(tmp_path), "--set", "theta=pi/2"] + BASE
+    assert run_cli(args) == 0
+    before = _files(tmp_path)
+    parent, grid_lines = os.getpid(), cli._grid_lines
+
+    def killed_in_child(*grid):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        yield from grid_lines(*grid)
+
+    monkeypatch.setattr(cli, "_worker_count", lambda: 3)
+    monkeypatch.setattr(cli, "_grid_lines", killed_in_child)
+    assert run_cli(args + ["--set", "format=compact"]) == 2
+    assert "(exit -9)" in capfd.readouterr().err
+    assert _files(tmp_path) == before
+    _assert_no_child_left()
+
+
 def test_interrupt_in_own_span_leaves_nothing(tmp_path, monkeypatch):
     parent, grid_lines = os.getpid(), cli._grid_lines
 
@@ -817,3 +837,42 @@ def test_rejected_config_file_is_named(tmp_path, capsys, text, message):
 def test_exactly_one_time_spec_required(times, message):
     with pytest.raises(ConfigError, match=re.escape(message)):
         validate_config(replace(RunConfig(), **times))
+
+
+def test_config_file_rule_completed_by_set(tmp_path):
+    # auto_p=false in the file needs a p_max, which --set may give: the
+    # sources are merged before the one validation
+    config = tmp_path / "c.cfg"
+    config.write_text("auto_p=false\n", encoding="utf-8")
+    args = ["wigner", "--set", "p_max=800"] + BASE
+    assert run_cli(args + ["--config", str(config), "--outdir", str(tmp_path / "file")]) == 0
+    assert run_cli(args + ["--set", "auto_p=false", "--outdir", str(tmp_path / "set")]) == 0
+    assert _files(tmp_path / "file") == _files(tmp_path / "set")
+
+
+@pytest.mark.parametrize("text, setting, env, message", [
+    ("x_min=0.5\n", "x_max=1.0", None, None),
+    ("x_min=0.5\n", "x_max=0.1", None,
+     "config: x_min: x_min=0.5 must be below x_max=0.1 (config file {path!r})"),
+    ("auto_p=false\n", "nx=512", None,
+     "config: p_max: a positive p_max is required when auto_p is false (config file {path!r})"),
+    ("nx=512\n", "steps=16", None, "config: steps: must be >= 32, got 16"),
+    ("steps=16\n", "nx=512", "2", "config: steps: must be >= 32, got 16 (config file {path!r})"),
+    ("workers=2\n", "nx=512", "0", "MORSECONTROL_WORKERS: workers: must be >= 1, got 0"),
+    ("workers=0\n", "nx=512", None, "config: workers: must be >= 1, got 0 (config file {path!r})"),
+])
+def test_merged_config_errors_name_their_source(tmp_path, monkeypatch, text, setting, env,
+                                                message):
+    config = tmp_path / "c.cfg"
+    config.write_text(text, encoding="utf-8")
+    if env is None:
+        monkeypatch.delenv("MORSECONTROL_WORKERS", raising=False)
+    else:
+        monkeypatch.setenv("MORSECONTROL_WORKERS", env)
+    args = cli.build_parser().parse_args(["eigen", "--config", str(config), "--set", setting])
+    if message is None:  # the file's x_min and --set's x_max are valid together
+        cli.load_config(args)
+        return
+    with pytest.raises(ConfigError) as caught:
+        cli.load_config(args)
+    assert str(caught.value) == message.format(path=str(config))

@@ -1,0 +1,56 @@
+"""No dead names in the package: every imported name is used in its module
+or re-exported through ``__all__``, and every private top-level function or
+class is referenced somewhere in the package."""
+
+import ast
+from pathlib import Path
+
+import morsecontrol
+
+SOURCES = {path: ast.parse(path.read_text(encoding="utf-8"))
+           for path in sorted(Path(morsecontrol.__file__).parent.glob("*.py"))}
+
+
+def _names(tree: ast.AST) -> set[str]:
+    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
+def _exported(tree: ast.Module) -> set[str]:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def test_every_import_is_used():
+    unused = []
+    for path, tree in SOURCES.items():
+        used = _names(tree) | _exported(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.partition(".")[0]
+                    if name not in used:
+                        unused.append(f"{path.name}: {name}")
+    assert unused == []
+
+
+def test_every_private_definition_is_referenced():
+    # a name, an attribute (module._name) or an import of it, in any module
+    referenced = set()
+    for tree in SOURCES.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                referenced |= {alias.name for alias in node.names}
+    dead = [f"{path.name}: {node.name}" for path, tree in SOURCES.items() for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and node.name.startswith("_") and not node.name.startswith("__")
+            and node.name not in referenced]
+    assert dead == []

@@ -10,6 +10,7 @@ from morsecontrol import (
     ATOMIC_TIME_SECONDS,
     I2,
     MorseParams,
+    RunConfig,
     WavePacketModel,
     characteristic_times,
     depth_parameter,
@@ -23,7 +24,7 @@ from morsecontrol import (
     su2_coefficients,
 )
 from morsecontrol.errors import GridError, InvalidParameterError, TruncationWarning
-from morsecontrol.morse import eigenfunction_with_capture
+from morsecontrol.morse import _laguerre_recurrence, eigenfunction_with_capture
 
 
 def test_depth_parameter_unit_case():
@@ -231,3 +232,19 @@ def test_derived_quantities_consistent(beta, mu, r0, D):
     assert np.all(np.diff(e) > 0)
     t_cl, t_rev = characteristic_times(params)
     assert t_rev / t_cl == pytest.approx(2.0 * params.depth - 1.0, rel=1e-12)
+
+
+def test_laguerre_recurrence_matches_scipy():
+    # every level of the default ladder at the xi = 2*depth*exp(-beta*x) of
+    # the default grid, against scipy's evaluation of L_m^(order)
+    from scipy.special import eval_genlaguerre
+
+    cfg = RunConfig()
+    lam = I2.depth
+    xi = 2.0 * lam * np.exp(-I2.beta * np.linspace(cfg.x_min, cfg.x_max, cfg.nx))
+    for m in range(cfg.n_levels):
+        order = 2.0 * (lam - m - 0.5)
+        got = _laguerre_recurrence(m, order, xi)
+        want = eval_genlaguerre(m, order, xi)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), m
+    assert np.array_equal(_laguerre_recurrence(0, 2.0 * (lam - 0.5), xi), np.ones_like(xi))

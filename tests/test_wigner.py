@@ -144,6 +144,22 @@ def test_worker_count_follows_affinity_up_to_the_cap(monkeypatch):
         assert wigner._worker_count() == expected
 
 
+def test_one_cpu_runs_blocks_in_order_on_the_calling_thread(monkeypatch):
+    # one CPU (say under taskset -c 0) starts no thread: the pool gets no work
+    monkeypatch.setattr(wigner, "_worker_count", lambda: 1)
+    threads = threading.active_count()
+    seen = []
+
+    def task(start, buffers):
+        seen.append((start, threading.get_ident(), threading.active_count(), id(buffers)))
+
+    wigner._run_blocks(task, range(0, 100, 7), lambda: [])
+    assert [start for start, *_ in seen] == list(range(0, 100, 7))
+    assert {(ident, count) for _, ident, count, _ in seen} == {(threading.get_ident(), threads)}
+    assert len({buffers for *_, buffers in seen}) == 1
+    assert threading.active_count() == threads
+
+
 def test_row_blocks_each_run_once_under_contention(monkeypatch):
     # more threads than cores and a short switch interval: a block taken
     # twice or lost, or a buffer set shared by two threads, shows here
