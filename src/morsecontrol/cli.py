@@ -22,7 +22,6 @@ from __future__ import annotations
 import argparse
 import math
 import os
-import re
 import shutil
 import signal
 import sys
@@ -217,7 +216,6 @@ def _write_grid_csv(ws: _Workspace, path: Path, header: list[str], row_axis: np.
         return _grid_lines(ws, row_axis[rows], col_axis, values[rows])
 
     children: list[tuple[int, Path]] = []
-    reaped: set[int] = set()
     try:
         # The row-block thread pools have shut down by now, so this process
         # runs no thread of the package's own; a child only formats and
@@ -237,7 +235,6 @@ def _write_grid_csv(ws: _Workspace, path: Path, header: list[str], row_axis: np.
         _write_lines(path, chain(header, span(0)))
         for k, (pid, part) in enumerate(children, start=1):
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            reaped.add(pid)
             if code != 0:
                 raise RuntimeError(f"formatting rows {bounds[k]} to {bounds[k + 1] - 1} "
                                    f"of {path.name} failed in process {pid} (exit {code})")
@@ -245,9 +242,7 @@ def _write_grid_csv(ws: _Workspace, path: Path, header: list[str], row_axis: np.
                 shutil.copyfileobj(src, dst)
     finally:
         for pid, part in children:
-            if pid not in reaped:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
+            _stop(pid)
             part.unlink(missing_ok=True)
 
 
@@ -267,6 +262,16 @@ def _write_part(path: Path, lines: Callable[[], Iterable[str]],
         sys.stderr.flush()
     finally:
         os._exit(code)
+
+
+def _stop(pid: int) -> None:
+    """Kill and reap the child ``pid`` unless it has been reaped already."""
+    try:
+        if os.waitpid(pid, os.WNOHANG)[0] == 0:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    except ChildProcessError:
+        pass
 
 
 def _lattice(ws: _Workspace):
@@ -443,9 +448,10 @@ def build_parser() -> argparse.ArgumentParser:
 def load_config(args: argparse.Namespace) -> RunConfig:
     """The defaults, then the --config file's lines, --outdir, each --set and
     MORSECONTROL_WORKERS, assigned in order and validated once. A validation
-    error names the file or the variable when it names a key last set there."""
+    error starts with the variable's name when it is about the workers the
+    variable set, and names the file when the same run without the file
+    would not fail the same way."""
     cfg = RunConfig()
-    origin: dict[str, str] = {}  # key -> where it was last set
     note = ""
     if args.config is not None:
         path = Path(args.config)
@@ -460,26 +466,33 @@ def load_config(args: argparse.Namespace) -> RunConfig:
                               f"at byte {exc.start})") from exc
         note = f" (config file {str(path)!r})"
         try:
-            for key, raw, where in _config_items(text):
-                cfg = _assign(cfg, key, raw, where)
-                origin[key] = note
+            for item in _config_items(text):
+                cfg = _assign(cfg, *item)
         except ConfigError as exc:
             raise ConfigError(f"{exc}{note}") from exc
     outdir = [] if args.outdir is None else [f"outdir={args.outdir}"]
     env = os.environ.get(WORKERS_ENV_VAR)
-    for key, raw, where in chain(_override_items(outdir + args.set),
-                                 [] if env is None else [("workers", env, WORKERS_ENV_VAR)]):
-        cfg = _assign(cfg, key, raw, where)
-        origin[key] = where
+    bare = RunConfig()  # the same sources without the file
+    for item in chain(_override_items(outdir + args.set),
+                      [] if env is None else [("workers", env, WORKERS_ENV_VAR)]):
+        cfg, bare = _assign(cfg, *item), _assign(bare, *item)
     try:
         return validate_config(cfg)
     except ConfigError as exc:
-        named = [key for key in re.findall(r"\w+", str(exc)) if key in origin]
-        if "workers" in named and origin["workers"] == WORKERS_ENV_VAR:
+        if env is not None and str(exc).startswith("config: workers:"):
             raise ConfigError(str(exc).replace("config", WORKERS_ENV_VAR, 1)) from exc
-        if any(origin[key] == note for key in named):
+        if note and _error(bare) != str(exc):
             raise ConfigError(f"{exc}{note}") from exc
         raise
+
+
+def _error(cfg: RunConfig) -> str | None:
+    """validate_config's message for ``cfg``, or None if it is valid."""
+    try:
+        validate_config(cfg)
+    except ConfigError as exc:
+        return str(exc)
+    return None
 
 
 def main(argv: list[str] | None = None) -> int:

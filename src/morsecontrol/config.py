@@ -118,16 +118,16 @@ def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
 
-def validate_config(cfg: RunConfig, where: str = "config") -> RunConfig:
+def validate_config(cfg: RunConfig) -> RunConfig:
     """Cross-field invariants; raises ConfigError naming the offender."""
 
     def fail(key: str, message: str) -> None:
-        raise ConfigError(f"{where}: {key}: {message}")
+        raise ConfigError(f"config: {key}: {message}")
 
     try:
         params = MorseParams(beta=cfg.beta, mu=cfg.mu, r0=cfg.r0, D=cfg.D)
     except ValueError as exc:
-        raise ConfigError(f"{where}: beta, mu, r0, D: physical parameters invalid: {exc}") from exc
+        raise ConfigError(f"config: beta, mu, r0, D: physical parameters invalid: {exc}") from exc
     if not 1 <= cfg.n_levels <= params.bound_state_count:
         fail("n_levels", f"must be 1..{params.bound_state_count} "
                          f"(the well binds {params.bound_state_count} states), got {cfg.n_levels}")

@@ -178,11 +178,15 @@ def _run_blocks(task, starts: range, make_buffers) -> None:
     """task(start, buffers) for every block start, on up to _worker_count() threads.
 
     Each thread takes the next unclaimed block and owns one set of buffers
-    from make_buffers(), allocated here in the calling thread, which is one
-    of them: with one thread the pool starts none and the blocks run here.
+    from make_buffers(), allocated here in the calling thread. With one
+    thread the blocks run inline.
     """
     n_threads = max(1, min(_worker_count(), len(starts)))
     buffer_sets = [make_buffers() for _ in range(n_threads)]
+    if n_threads == 1:
+        for start in starts:
+            task(start, buffer_sets[0])
+        return
     from concurrent.futures import ThreadPoolExecutor
 
     pending = iter(starts)
@@ -196,7 +200,7 @@ def _run_blocks(task, starts: range, make_buffers) -> None:
                 return
             task(start, buffers)
 
-    with ThreadPoolExecutor(max_workers=max(1, n_threads - 1)) as pool:
+    with ThreadPoolExecutor(max_workers=n_threads - 1) as pool:
         futures = [pool.submit(drain, buffers) for buffers in buffer_sets[1:]]
         drain(buffer_sets[0])
         for future in futures:

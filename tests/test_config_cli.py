@@ -719,6 +719,36 @@ def test_killed_csv_process_keeps_previous_files(tmp_path, monkeypatch, capfd):
     _assert_no_child_left()
 
 
+def test_interrupt_after_reaping_a_child_stops_the_others(tmp_path, monkeypatch):
+    # Ctrl-C lands after waitpid has reaped the first child: the cleanup must
+    # not signal that pid again, and must still stop and reap the others
+    args = ["wigner", "--outdir", str(tmp_path), "--set", "theta=pi/2"] + BASE
+    assert run_cli(args) == 0
+    before = _files(tmp_path)
+    waitpid, kill = os.waitpid, os.kill
+    reaped, killed = [], []
+
+    def interrupted_after_reaping(pid, options):
+        result = waitpid(pid, options)
+        if options == 0 and not reaped:
+            reaped.append(pid)
+            raise KeyboardInterrupt
+        return result
+
+    def recorded_kill(pid, sig):
+        killed.append(pid)
+        kill(pid, sig)
+
+    monkeypatch.setattr(cli, "_worker_count", lambda: 3)
+    monkeypatch.setattr(os, "waitpid", interrupted_after_reaping)
+    monkeypatch.setattr(os, "kill", recorded_kill)
+    with pytest.raises(KeyboardInterrupt):
+        run_cli(args + ["--set", "format=compact"])
+    assert len(reaped) == 1 and reaped[0] not in killed
+    assert _files(tmp_path) == before
+    _assert_no_child_left()
+
+
 def test_interrupt_in_own_span_leaves_nothing(tmp_path, monkeypatch):
     parent, grid_lines = os.getpid(), cli._grid_lines
 
@@ -860,6 +890,13 @@ def test_config_file_rule_completed_by_set(tmp_path):
     ("steps=16\n", "nx=512", "2", "config: steps: must be >= 32, got 16 (config file {path!r})"),
     ("workers=2\n", "nx=512", "0", "MORSECONTROL_WORKERS: workers: must be >= 1, got 0"),
     ("workers=0\n", "nx=512", None, "config: workers: must be >= 1, got 0 (config file {path!r})"),
+    # a value that spells a key the file set does not blame the file
+    ("alpha=2\n", "direction=alpha", None,
+     "config: direction: must be 'position' or 'momentum', got 'alpha'"),
+    # the file's D leaves the default n_levels unbound
+    ("D=0.001\n", "nx=512", None,
+     "config: n_levels: must be 1..15 (the well binds 15 states), got 24 (config file {path!r})"),
+    ("alpha=2\n", "D=0.001", None, "config: n_levels: must be 1..15 (the well binds 15 states), got 24"),
 ])
 def test_merged_config_errors_name_their_source(tmp_path, monkeypatch, text, setting, env,
                                                 message):

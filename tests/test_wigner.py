@@ -145,7 +145,7 @@ def test_worker_count_follows_affinity_up_to_the_cap(monkeypatch):
 
 
 def test_one_cpu_runs_blocks_in_order_on_the_calling_thread(monkeypatch):
-    # one CPU (say under taskset -c 0) starts no thread: the pool gets no work
+    # one CPU (say under taskset -c 0) starts no thread: the blocks run inline
     monkeypatch.setattr(wigner, "_worker_count", lambda: 1)
     threads = threading.active_count()
     seen = []
