@@ -20,7 +20,7 @@ import sys
 from morsecontrol import (PAPER_STATES, RunConfig, build_model, characteristic_times,
                           lobe_count, tile_area, wigner_transform)
 from morsecontrol.cli import _Outputs
-from morsecontrol.config import apply_overrides, momentum_grid
+from morsecontrol.config import momentum_grid, validate_config
 from morsecontrol.errors import ConfigError
 from morsecontrol.gridfile import GridFile, write_grid
 
@@ -33,7 +33,7 @@ def main() -> int:
     args = parser.parse_args()
     out = _Outputs(args.outdir)
     try:
-        cfg = apply_overrides(RunConfig(), [f"nx={args.nx}", f"np={args.np}"])
+        cfg = validate_config(RunConfig(nx=args.nx, np=args.np))
         model = build_model(cfg)
         _, t_rev = characteristic_times(model.params)
         states = [model.phase_locked(theta, frac * t_rev) for _, theta, frac, _ in PAPER_STATES]

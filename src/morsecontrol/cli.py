@@ -35,8 +35,8 @@ import numpy as np
 
 from . import __version__
 from .analysis import carpet, fringe_amplitude, sensitivity_scan, tile_area, uncertainties
-from .config import (WORKERS_ENV_VAR, RunConfig, _assign, _config_items, _grid_error,
-                     _override_items, build_model, config_times, momentum_grid, validate_config)
+from .config import (RunConfig, _grid_error, build_model, config_times, load_config,
+                     momentum_grid)
 from .errors import ConfigError, GridError, RangeAliasingError, TruncationError
 from .gridfile import GridFile, write_grid
 from .morse import MorseParams, characteristic_times, eigenfunction_with_capture, eigenstate
@@ -445,61 +445,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def load_config(args: argparse.Namespace) -> RunConfig:
-    """The defaults, then the --config file's lines, --outdir, each --set and
-    MORSECONTROL_WORKERS, assigned in order and validated once. A validation
-    error starts with the variable's name when it is about the workers the
-    variable set, and names the file when the same run without the file
-    would not fail the same way."""
-    cfg = RunConfig()
-    note = ""
-    if args.config is not None:
-        path = Path(args.config)
-        if not path.exists():
-            raise ConfigError(f"config file not found: {path}")
-        try:
-            text = path.read_text(encoding="utf-8")
-        except OSError as exc:
-            raise ConfigError(f"config file {str(path)!r}: {exc.strerror}") from exc
-        except UnicodeDecodeError as exc:
-            raise ConfigError(f"config file {str(path)!r}: not UTF-8 text ({exc.reason} "
-                              f"at byte {exc.start})") from exc
-        note = f" (config file {str(path)!r})"
-        try:
-            for item in _config_items(text):
-                cfg = _assign(cfg, *item)
-        except ConfigError as exc:
-            raise ConfigError(f"{exc}{note}") from exc
-    outdir = [] if args.outdir is None else [f"outdir={args.outdir}"]
-    env = os.environ.get(WORKERS_ENV_VAR)
-    bare = RunConfig()  # the same sources without the file
-    for item in chain(_override_items(outdir + args.set),
-                      [] if env is None else [("workers", env, WORKERS_ENV_VAR)]):
-        cfg, bare = _assign(cfg, *item), _assign(bare, *item)
-    try:
-        return validate_config(cfg)
-    except ConfigError as exc:
-        if env is not None and str(exc).startswith("config: workers:"):
-            raise ConfigError(str(exc).replace("config", WORKERS_ENV_VAR, 1)) from exc
-        if note and _error(bare) != str(exc):
-            raise ConfigError(f"{exc}{note}") from exc
-        raise
-
-
-def _error(cfg: RunConfig) -> str | None:
-    """validate_config's message for ``cfg``, or None if it is valid."""
-    try:
-        validate_config(cfg)
-    except ConfigError as exc:
-        return str(exc)
-    return None
-
-
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     out: _Outputs | None = None
     try:
-        cfg = load_config(args)
+        cfg = load_config(args.config,
+                          ([] if args.outdir is None else [f"outdir={args.outdir}"]) + args.set)
         ws = _Workspace(cfg)
         out = _Outputs(cfg.outdir)
         COMMANDS[args.command](ws, out)

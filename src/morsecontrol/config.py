@@ -3,18 +3,21 @@
 Lines are UTF-8 ``key=value`` pairs; ``#`` starts a comment. Unknown keys,
 unparsable or non-finite values (nan, inf) and violated invariants raise
 ConfigError naming the key and line. Angles accept ``pi`` expressions
-("pi/8", "3pi/4", "2pi"); time fractions accept "a/b". ``build_model`` turns
-a configuration into its packet model and ``momentum_grid`` gives a state
-its configured momentum grid.
+("pi/8", "3pi/4", "2pi"); time fractions accept "a/b". ``load_config`` reads
+a configuration as the CLI does, from a file, ``key=value`` overrides and
+the environment. ``build_model`` turns a configuration into its packet model
+and ``momentum_grid`` gives a state its configured momentum grid.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import re
 import warnings
-from collections.abc import Iterator
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
+from pathlib import Path
 from typing import get_type_hints
 
 import numpy as np
@@ -22,7 +25,8 @@ import numpy as np
 from .errors import ConfigError, GridError, RangeAliasingError, SpacingAliasingError
 from .morse import I2, MorseParams
 from .wavepacket import StateGrid, WavePacketModel, split_even_odd, su2_coefficients
-from .wigner import auto_momentum_grid, check_momentum_grid
+from .wigner import (DEFAULT_LOBE_THRESHOLD, DEFAULT_MOMENTUM_POINTS, auto_momentum_grid,
+                     check_momentum_grid)
 
 _PI_TOKEN = re.compile(
     r"^(?P<sign>[+-]?)(?P<coef>\d+\.?\d*|\.\d+)?\s*pi\s*(?:/\s*(?P<div>\d+\.?\d*|\.\d+))?$"
@@ -85,7 +89,7 @@ class RunConfig:
     x_min: float = -0.25
     x_max: float = 0.45
     nx: int = 2048
-    np: int = 512
+    np: int = DEFAULT_MOMENTUM_POINTS
     auto_p: bool = True
     p_max: float | None = None
     theta: tuple[float, ...] = (0.0,)
@@ -95,7 +99,7 @@ class RunConfig:
     steps: int = 64
     max_shift: float | None = None
     direction: str = "position"
-    lobe_threshold: float = 0.3
+    lobe_threshold: float = DEFAULT_LOBE_THRESHOLD
     outdir: str = "out"
     workers: int = 1  # accepted and validated; has no effect
     format: str = "full"
@@ -183,8 +187,8 @@ def _assign(cfg: RunConfig, key: str, raw: str, where: str) -> RunConfig:
     return replace(cfg, **{key: value})
 
 
-def _config_items(text: str) -> Iterator[tuple[str, str, str]]:
-    """(key, raw value, where) of each key=value line of ``text``, in order."""
+def _assign_lines(cfg: RunConfig, text: str) -> RunConfig:
+    """``cfg`` with each key=value line of ``text`` assigned, in order."""
     seen: set[str] = set()
     for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
@@ -197,36 +201,71 @@ def _config_items(text: str) -> Iterator[tuple[str, str, str]]:
         if key in seen:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         seen.add(key)
-        yield key, raw.strip(), f"line {lineno}"
-
-
-def _override_items(overrides: list[str]) -> Iterator[tuple[str, str, str]]:
-    """(key, raw value, where) of each --set key=value pair, in order."""
-    for item in overrides:
-        if "=" not in item:
-            raise ConfigError(f"--set {item!r}: expected key=value")
-        key, _, raw = item.partition("=")
-        yield key.strip(), raw.strip(), f"--set {key.strip()}"
+        cfg = _assign(cfg, key, raw.strip(), f"line {lineno}")
+    return cfg
 
 
 def parse_config(text: str) -> RunConfig:
     """RunConfig from key=value text, applied on top of the defaults."""
-    cfg = RunConfig()
-    for item in _config_items(text):
-        cfg = _assign(cfg, *item)
-    return validate_config(cfg)
-
-
-def apply_overrides(cfg: RunConfig, overrides: list[str]) -> RunConfig:
-    """Apply --set key=value pairs on top of a parsed configuration."""
-    for item in _override_items(overrides):
-        cfg = _assign(cfg, *item)
-    return validate_config(cfg)
+    return validate_config(_assign_lines(RunConfig(), text))
 
 
 #: Environment override of the ``workers`` key, applied after ``--set``; like
 #: the key it is parsed and validated but has no effect on any result.
 WORKERS_ENV_VAR = "MORSECONTROL_WORKERS"
+
+
+def load_config(path: str | None = None, overrides: Iterable[str] = ()) -> RunConfig:
+    """The defaults, then the lines of the file at ``path``, each ``key=value``
+    of ``overrides`` (the CLI's --outdir and --set) and MORSECONTROL_WORKERS,
+    assigned in order and validated once. A validation error starts with the
+    variable's name when it is about the workers the variable set, and names
+    the file when the same sources without the file would not fail the same
+    way."""
+    cfg = RunConfig()
+    note = ""
+    if path is not None:
+        path = Path(path)
+        if not path.exists():
+            raise ConfigError(f"config file not found: {path}")
+        try:
+            text = path.read_text(encoding="utf-8")
+        except OSError as exc:
+            raise ConfigError(f"config file {str(path)!r}: {exc.strerror}") from exc
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config file {str(path)!r}: not UTF-8 text ({exc.reason} "
+                              f"at byte {exc.start})") from exc
+        note = f" (config file {str(path)!r})"
+        try:
+            cfg = _assign_lines(cfg, text)
+        except ConfigError as exc:
+            raise ConfigError(f"{exc}{note}") from exc
+    bare = RunConfig()  # the same sources without the file
+    for item in overrides:
+        if "=" not in item:
+            raise ConfigError(f"--set {item!r}: expected key=value")
+        key, _, raw = (part.strip() for part in item.partition("="))
+        cfg, bare = (_assign(c, key, raw, f"--set {key}") for c in (cfg, bare))
+    env = os.environ.get(WORKERS_ENV_VAR)
+    if env is not None:
+        cfg, bare = (_assign(c, "workers", env, WORKERS_ENV_VAR) for c in (cfg, bare))
+    try:
+        return validate_config(cfg)
+    except ConfigError as exc:
+        if env is not None and str(exc).startswith("config: workers:"):
+            raise ConfigError(str(exc).replace("config", WORKERS_ENV_VAR, 1)) from exc
+        if note and _error(bare) != str(exc):
+            raise ConfigError(f"{exc}{note}") from exc
+        raise
+
+
+def _error(cfg: RunConfig) -> str | None:
+    """validate_config's message for ``cfg``, or None if it is valid."""
+    try:
+        validate_config(cfg)
+    except ConfigError as exc:
+        return str(exc)
+    return None
 
 
 #: Largest deviation of the eigen table's Gram matrix from the identity that

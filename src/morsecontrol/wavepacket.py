@@ -30,6 +30,8 @@ def su2_coefficients(alpha: float, n_max: int) -> "CoefficientSet":
     """
     if n_max < 1:
         raise InvalidParameterError(f"n_max must be >= 1, got {n_max}")
+    if not math.isfinite(alpha):
+        raise InvalidParameterError(f"alpha={alpha!r} is not finite")
     m = np.arange(n_max + 1)
     if alpha == 0.0:
         c = np.zeros(n_max + 1)
@@ -51,13 +53,13 @@ def split_even_odd(coeffs: "CoefficientSet") -> "CoefficientSet":
     """Restrict the ladder to even / odd levels and renormalize each subset."""
     c = coeffs.amplitudes
     total = float(np.sum(c * c))
-    if abs(total - 1.0) > 1e-9:
+    if not abs(total - 1.0) <= 1e-9:  # also a NaN total
         raise InvalidParameterError("amplitudes must be normalized before splitting")
     even = c[0::2]
     odd = c[1::2]
     w_even = float(np.sum(even * even))
     w_odd = float(np.sum(odd * odd))
-    if w_even <= 0.0 or w_odd <= 0.0:
+    if not (w_even > 0.0 and w_odd > 0.0):
         raise DegenerateSplitError(
             f"cannot split: even weight {w_even:.3g}, odd weight {w_odd:.3g}"
         )

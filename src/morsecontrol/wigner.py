@@ -178,33 +178,34 @@ def _run_blocks(task, starts: range, make_buffers) -> None:
     """task(start, buffers) for every block start, on up to _worker_count() threads.
 
     Each thread takes the next unclaimed block and owns one set of buffers
-    from make_buffers(), allocated here in the calling thread. With one
-    thread the blocks run inline.
+    from make_buffers(), allocated here in the calling thread, which is one
+    of them; the first error of any thread is raised once all have stopped.
     """
     n_threads = max(1, min(_worker_count(), len(starts)))
     buffer_sets = [make_buffers() for _ in range(n_threads)]
-    if n_threads == 1:
-        for start in starts:
-            task(start, buffer_sets[0])
-        return
-    from concurrent.futures import ThreadPoolExecutor
-
     pending = iter(starts)
     lock = threading.Lock()
+    errors: list[BaseException] = []
 
     def drain(buffers) -> None:
-        while True:
-            with lock:
-                start = next(pending, None)
-            if start is None:
-                return
-            task(start, buffers)
+        try:
+            while True:
+                with lock:
+                    start = next(pending, None)
+                if start is None:
+                    return
+                task(start, buffers)
+        except BaseException as exc:  # re-raised in the calling thread below
+            errors.append(exc)
 
-    with ThreadPoolExecutor(max_workers=n_threads - 1) as pool:
-        futures = [pool.submit(drain, buffers) for buffers in buffer_sets[1:]]
-        drain(buffer_sets[0])
-        for future in futures:
-            future.result()
+    threads = [threading.Thread(target=drain, args=(buffers,)) for buffers in buffer_sets[1:]]
+    for thread in threads:
+        thread.start()
+    drain(buffer_sets[0])
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
 
 
 def wigner_transform(state: StateGrid, p: np.ndarray | None = None) -> WignerGrid:
@@ -311,6 +312,8 @@ LOBE_CELL_AREA = 1.5
 #: Local maxima closer than this many cell widths are one lobe (tilted lobes
 #: sample as short ridges with several near-degenerate grid maxima).
 LOBE_MERGE_CELLS = 1.5
+#: Default share of the largest coarse-grained amplitude a lobe must reach.
+DEFAULT_LOBE_THRESHOLD = 0.3
 #: Rows per FFT call in the coarse grain; bounds the padded work arrays,
 #: and the values are the same for any block size.
 SMOOTH_BLOCK = 32
@@ -400,7 +403,7 @@ def _coarse_grain(w: WignerGrid) -> tuple[np.ndarray, float, float]:
     return smooth, cell_x, cell_p
 
 
-def lobe_count(w: WignerGrid, threshold_fraction: float = 0.3) -> int:
+def lobe_count(w: WignerGrid, threshold_fraction: float = DEFAULT_LOBE_THRESHOLD) -> int:
     """Number of macroscopic packet lobes of the distribution.
 
     Counts the distinct local maxima of the coarse-grained distribution whose

@@ -18,7 +18,7 @@ from morsecontrol import (I2, RunConfig, auto_momentum_grid, characteristic_time
                           uncertainties, wigner_transform)
 from morsecontrol import cli, config
 from morsecontrol.cli import COMMANDS, main
-from morsecontrol.config import (apply_overrides, build_model, config_times, parse_angle,
+from morsecontrol.config import (build_model, config_times, load_config, parse_angle,
                                  parse_fraction, validate_config)
 from morsecontrol.errors import ConfigError, TruncationWarning
 
@@ -125,12 +125,12 @@ def test_theta_list_parse():
 
 
 def test_overrides_apply_and_validate():
-    cfg = apply_overrides(RunConfig(), ["alpha=1.0", "nx=256"])
+    cfg = load_config(None, ["alpha=1.0", "nx=256"])
     assert cfg.alpha == 1.0 and cfg.nx == 256
     with pytest.raises(ConfigError, match="unknown key"):
-        apply_overrides(RunConfig(), ["nope=1"])
+        load_config(None, ["nope=1"])
     with pytest.raises(ConfigError, match="key=value"):
-        apply_overrides(RunConfig(), ["just-a-word"])
+        load_config(None, ["just-a-word"])
 
 
 def test_manual_momentum_grid_needs_p_max():
@@ -908,8 +908,8 @@ def test_merged_config_errors_name_their_source(tmp_path, monkeypatch, text, set
         monkeypatch.setenv("MORSECONTROL_WORKERS", env)
     args = cli.build_parser().parse_args(["eigen", "--config", str(config), "--set", setting])
     if message is None:  # the file's x_min and --set's x_max are valid together
-        cli.load_config(args)
+        load_config(args.config, args.set)
         return
     with pytest.raises(ConfigError) as caught:
-        cli.load_config(args)
+        load_config(args.config, args.set)
     assert str(caught.value) == message.format(path=str(config))

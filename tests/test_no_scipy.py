@@ -1,5 +1,6 @@
 """The package runs without scipy, which the tests keep only as an oracle,
-and its commands import no part of numpy they do not use."""
+and its commands import no part of numpy or the standard library they do
+not use."""
 
 import os
 import subprocess
@@ -48,3 +49,22 @@ def test_sensitivity_imports_no_numpy_ma(tmp_path):
     result = _run_fresh(code, tmp_path)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "0 False"
+
+
+def test_row_block_threads_import_no_executor(tmp_path):
+    # importing concurrent.futures costs a fresh process about 4 ms
+    code = (
+        "import math, sys\n"
+        "from morsecontrol import RunConfig, build_model, characteristic_times, wigner\n"
+        "from morsecontrol.config import momentum_grid\n"
+        "wigner._worker_count = lambda: 2\n"
+        "cfg = RunConfig(nx=512, np=128)\n"
+        "model = build_model(cfg)\n"
+        "state = model.phase_locked(math.pi / 2, characteristic_times(model.params)[1] / 8)\n"
+        "w = wigner.wigner_transform(state, momentum_grid(cfg, state))\n"
+        "wigner.lobe_count(w)\n"
+        "print('concurrent.futures' in sys.modules)\n"
+    )
+    result = _run_fresh(code, tmp_path)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"

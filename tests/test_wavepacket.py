@@ -74,9 +74,22 @@ def test_split_requires_normalized_input():
         split_even_odd(doubled)
 
 
+def test_split_rejects_nan_amplitudes():
+    # a NaN total fails every comparison, so the checks must be stated as passes
+    nan_ladder = CoefficientSet(alpha=1.0, n_max=3, amplitudes=np.array([np.nan, 0.5, 0.5, 0.5]))
+    with pytest.raises(InvalidParameterError, match="normalized"):
+        split_even_odd(nan_ladder)
+
+
 def test_su2_rejects_degenerate_ladder():
     with pytest.raises(InvalidParameterError):
         su2_coefficients(2.0, 0)
+
+
+def test_su2_names_non_finite_alpha():
+    for alpha in (math.nan, math.inf, -math.inf):
+        with pytest.raises(InvalidParameterError, match=f"alpha={alpha!r} is not finite"):
+            su2_coefficients(alpha, 5)
 
 
 def test_model_rejects_more_levels_than_bound():

@@ -193,6 +193,36 @@ def test_row_blocks_each_run_once_under_contention(monkeypatch):
     assert results == [(True, True)] * 20
 
 
+def test_row_block_error_reaches_the_caller_after_every_thread_stops(monkeypatch):
+    # a started thread fails on its first block while the calling thread
+    # holds its own: the error is raised in the calling thread, and only
+    # after the other threads have run every remaining block
+    monkeypatch.setattr(wigner, "_worker_count", lambda: 3)
+    caller = threading.get_ident()
+    threads = threading.active_count()
+    raised = threading.Event()
+    seen, failed = [], []
+    lock = threading.Lock()
+
+    def task(start, buffers):
+        if threading.get_ident() == caller:
+            raised.wait(timeout=30)
+        else:
+            with lock:
+                if not failed:
+                    failed.append(start)
+                    raised.set()
+                    raise RuntimeError(f"block {start}")
+        seen.append(start)
+
+    with pytest.raises(RuntimeError) as caught:
+        wigner._run_blocks(task, range(0, 100, 7), lambda: [])
+    assert raised.is_set()
+    assert str(caught.value) == f"block {failed[0]}"
+    assert sorted(seen) == [start for start in range(0, 100, 7) if start != failed[0]]
+    assert threading.active_count() == threads
+
+
 def test_normalization_and_purity(smoke_x):
     w = wigner_transform(gaussian_state(smoke_x), np.linspace(-6, 6, 128))
     assert w.norm_captured == pytest.approx(1.0, abs=1e-3)
