@@ -79,6 +79,8 @@ def uncertainties(state: StateGrid) -> tuple[float, float]:
     else:
         moments = [row[0] for row in _moment_rows(
             state.x, (state.density,), (np.abs(np.fft.fft(state.psi)) ** 2,))]
+    if not math.isfinite(sum(moments)):
+        raise InvalidParameterError("state has non-finite samples")
     if moments[0] == 0.0 or moments[3] == 0.0:
         raise InvalidParameterError("state has zero norm")
     return _spread(*moments[:3]), _spread(*moments[3:])

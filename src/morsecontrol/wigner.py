@@ -118,6 +118,9 @@ def spectral_moments(state: StateGrid) -> tuple[float, float]:
     """(mean, standard deviation) of the state's momentum distribution via DFT."""
     rows = _moment_rows(state.x, (), (np.abs(np.fft.fft(state.psi)) ** 2,))
     total, first, second = (row[0] for row in rows[3:])
+    # a NaN or inf sample spreads to every bin of the spectrum, and so to its sums
+    if not math.isfinite(total + first + second):
+        raise InvalidParameterError("state has non-finite samples")
     if total == 0.0:
         raise InvalidParameterError("state has zero norm")
     return first / total, _spread(total, first, second)
@@ -314,19 +317,23 @@ LOBE_CELL_AREA = 1.5
 LOBE_MERGE_CELLS = 1.5
 #: Default share of the largest coarse-grained amplitude a lobe must reach.
 DEFAULT_LOBE_THRESHOLD = 0.3
-#: Rows per FFT call in the coarse grain; bounds the padded work arrays,
-#: and the values are the same for any block size.
-SMOOTH_BLOCK = 32
+#: Rows per FFT call in the coarse grain, two to each complex transform;
+#: bounds the padded work array, and the values are the same for any block size.
+SMOOTH_BLOCK = 56
+#: Rows per block of the lobe search; bounds its amplitude and mask scratch.
+PEAK_BLOCK = 32
 
 
-def _smooth_rows(values: np.ndarray, sigma: float, out: np.ndarray | None = None) -> np.ndarray:
-    """Gaussian smoothing along axis 1, with zeros beyond both ends.
+def _smooth_rows(values: np.ndarray, sigma: float, out: np.ndarray) -> None:
+    """Gaussian smoothing along axis 1 into ``out``, with zeros beyond both ends.
 
     A zero-padded linear convolution by FFT. The kernel is that of
     scipy.ndimage.gaussian_filter1d: radius int(4*sigma + 0.5) samples and
-    weights exp(-k^2/(2 sigma^2)) summing to 1. The result goes to ``out``
-    (new by default), which may be ``values`` itself: each block of rows is
-    read before it is written.
+    weights exp(-k^2/(2 sigma^2)) summing to 1. The kernel is real, so rows
+    2k and 2k+1 of a block go in as row[2k] + 1j*row[2k+1] and come out as
+    the real and imaginary parts of one complex convolution. ``out`` may be
+    ``values`` itself, or any view of its shape: each block of rows is read
+    before it is written.
     """
     radius = int(4.0 * sigma + 0.5)
     k = np.arange(-radius, radius + 1)
@@ -336,37 +343,71 @@ def _smooth_rows(values: np.ndarray, sigma: float, out: np.ndarray | None = None
     # the kept outputs [radius, radius + n) of the linear convolution are
     # free of wrap-around for any nfft >= n + radius
     nfft = next_fast_len(n + radius)
-    response = np.fft.rfft(kernel, nfft)
-    if out is None:
-        out = np.empty(values.shape)
-    block_rows = min(SMOOTH_BLOCK, values.shape[0])
+    response = np.fft.fft(kernel, nfft)
 
-    def smooth_block(i: int, buffers: tuple[np.ndarray, np.ndarray]) -> None:
+    def smooth_block(i: int, buffer: np.ndarray) -> None:
         block = values[i:i + SMOOTH_BLOCK]
-        signal, spectrum = buffers[0][:len(block)], buffers[1][:len(block)]
-        np.copyto(signal[:, :n], block)
-        np.fft.rfft(signal[:, :n], nfft, out=spectrum)
-        np.multiply(spectrum, response, out=spectrum)
-        np.fft.irfft(spectrum, nfft, out=signal)
-        out[i:i + len(block)] = signal[:, radius:radius + n]
+        even, odd = block[0::2], block[1::2]
+        signal = buffer[:len(even)]
+        signal[:, n:] = 0.0
+        signal.real[:, :n] = even
+        signal.imag[:len(odd), :n] = odd
+        # a lone last row: an earlier block's stale data in the imaginary
+        # part would move the rounding of its real part
+        signal.imag[len(odd):, :n] = 0.0
+        np.fft.fft(signal, out=signal)
+        np.multiply(signal, response, out=signal)
+        np.fft.ifft(signal, out=signal)
+        kept = signal[:, radius:radius + n]
+        rows = out[i:i + len(block)]
+        rows[0::2] = kept.real
+        rows[1::2] = kept.imag[:len(odd)]
 
+    pairs = (min(SMOOTH_BLOCK, values.shape[0]) + 1) // 2
     _run_blocks(smooth_block, range(0, values.shape[0], SMOOTH_BLOCK),
-                lambda: (np.empty((block_rows, nfft)),
-                         np.empty((block_rows, nfft // 2 + 1), dtype=np.complex128)))
-    return out
+                lambda: np.empty((pairs, nfft), dtype=np.complex128))
 
 
 def _gaussian_smooth(values: np.ndarray, sigma: tuple[float, float]) -> np.ndarray:
     """Gaussian smoothing of a 2-d grid with zeros outside it.
 
-    Axis 0 first, then axis 1, as scipy.ndimage.gaussian_filter with
-    mode="constant" does; the two agree to rounding (tests/test_wigner.py).
-    Both passes smooth rows, the axis-0 pass those of the transpose, copied
-    contiguous one block at a time: they transform faster than strided
-    columns. The axis-1 pass overwrites the axis-0 pass's output.
+    scipy.ndimage.gaussian_filter with mode="constant" smooths axis 0 first,
+    then axis 1; the passes commute, and the two agree to rounding
+    (tests/test_wigner.py). Both passes run over contiguous rows: the axis-1
+    pass reads the rows of ``values`` and writes the transpose of the
+    result, whose rows the axis-0 pass then smooths in place. The result is
+    that transpose's transpose, a Fortran-ordered array.
     """
-    smooth = _smooth_rows(values.T, sigma[0]).T
-    return _smooth_rows(smooth, sigma[1], out=smooth)
+    smooth = np.empty((values.shape[1], values.shape[0]))
+    _smooth_rows(values, sigma[1], out=smooth.T)
+    _smooth_rows(smooth, sigma[0], out=smooth)
+    return smooth.T
+
+
+def _positive_marginals(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column sums of the positive part of a grid, which must be finite.
+
+    The positive part is clipped one block of rows at a time, below a row
+    holding the column sums of the rows before it; numpy's axis-0 sum adds
+    rows in order, so one sum of that stack carries the column sums across
+    blocks with the whole grid's bits.
+    """
+    n_rows, n_cols = values.shape
+    pos = np.empty(n_rows)
+    stack = np.empty((SMOOTH_BLOCK + 1, n_cols))
+    mom = None
+    for i in range(0, n_rows, SMOOTH_BLOCK):
+        rows = values[i:i + SMOOTH_BLOCK]
+        if not np.isfinite(rows).all():
+            raise GridError("Wigner grid has non-finite values")
+        head = 0
+        if mom is not None:
+            stack[0] = mom
+            head = 1
+        block = np.clip(rows, 0.0, None, out=stack[head:head + len(rows)])
+        pos[i:i + len(rows)] = block.sum(axis=1)
+        mom = stack[:head + len(rows)].sum(axis=0)
+    return pos, mom
 
 
 def _coarse_grain(w: WignerGrid) -> tuple[np.ndarray, float, float]:
@@ -377,14 +418,9 @@ def _coarse_grain(w: WignerGrid) -> tuple[np.ndarray, float, float]:
     sub-cell interference tiles while leaving the macroscopic packet lobes in
     place.
     """
-    # the positive part one block of rows at a time; numpy's axis-0 sum adds
-    # rows in order, so carrying it across blocks keeps the whole grid's bits
-    pos = np.empty(w.values.shape[0])
-    mom = None
-    for i in range(0, w.values.shape[0], SMOOTH_BLOCK):
-        block = np.clip(w.values[i:i + SMOOTH_BLOCK], 0.0, None)
-        pos[i:i + len(block)] = block.sum(axis=1)
-        mom = block.sum(axis=0) if mom is None else np.vstack((mom, block)).sum(axis=0)
+    if w.x.size < 2 or w.p.size < 2:
+        raise GridError("lobe count needs at least two samples on each axis")
+    pos, mom = _positive_marginals(w.values)
     # a sum of non-negative terms is zero only if every term is
     if float(pos.sum()) <= 0.0:
         raise GridError("coarse-grained distribution has no positive region")
@@ -419,27 +455,55 @@ def lobe_count(w: WignerGrid, threshold_fraction: float = DEFAULT_LOBE_THRESHOLD
             f"threshold_fraction must be in (0, 1), got {threshold_fraction}"
         )
     smooth, cell_x, cell_p = _coarse_grain(w)
-    amp = np.sqrt(np.clip(smooth, 0.0, None, out=smooth), out=smooth)
-    top = float(amp.max())
+    # the search runs over the rows of the transpose, contiguous for the
+    # smoothing's own output: smooth.T[j, i] is the value at (x[i], p[j])
+    smooth = smooth.T
+    n_rows, n_cols = smooth.shape
+    starts = range(0, n_rows, PEAK_BLOCK)
+    maxima = np.empty(len(starts))
+
+    def block_max(start: int, _) -> None:
+        maxima[start // PEAK_BLOCK] = smooth[start:start + PEAK_BLOCK].max()
+
+    _run_blocks(block_max, starts, lambda: None)
+    # the amplitude is sqrt(clip(smooth, 0)), monotone, so its maximum over
+    # a block is that of the block's largest value
+    peak_amp = np.sqrt(np.clip(maxima, 0.0, None))
+    top = float(peak_amp.max())
     if top <= 0.0:
         raise GridError("coarse-grained distribution has no positive region")
     floor = threshold_fraction * top
 
-    # one strict side per axis so exact ties (symmetric states sampled between
-    # grid points) still register exactly one maximum
-    interior = amp[1:-1, 1:-1]
-    peaks = (
-        (interior > amp[:-2, 1:-1])
-        & (interior >= amp[2:, 1:-1])
-        & (interior > amp[1:-1, :-2])
-        & (interior >= amp[1:-1, 2:])
-        & (interior >= floor)
-    )
-    ii, jj = np.nonzero(peaks)
-    ranked = sorted(
-        ((float(amp[i + 1, j + 1]), i + 1, j + 1) for i, j in zip(ii, jj)),
-        reverse=True,
-    )
+    found: list[list[tuple[float, int, int]]] = [[] for _ in starts]
+
+    def peak_block(start: int, buffers: tuple[np.ndarray, np.ndarray, np.ndarray]) -> None:
+        lo, hi = max(start, 1), min(start + PEAK_BLOCK, n_rows - 1)
+        if lo >= hi or peak_amp[start // PEAK_BLOCK] < floor:
+            return
+        # the block's amplitudes with one row of each neighbour block
+        amp = buffers[0][:hi - lo + 2]
+        np.sqrt(np.clip(smooth[lo - 1:hi + 1], 0.0, None, out=amp), out=amp)
+        centre = amp[1:-1, 1:-1]
+        peaks, test = buffers[1][:hi - lo], buffers[2][:hi - lo]
+        np.greater_equal(centre, floor, out=peaks)
+        # one strict side per axis so exact ties (symmetric states sampled
+        # between grid points) still register exactly one maximum
+        for compare, neighbour in ((np.greater, amp[:-2, 1:-1]),
+                                   (np.greater_equal, amp[2:, 1:-1]),
+                                   (np.greater, amp[1:-1, :-2]),
+                                   (np.greater_equal, amp[1:-1, 2:])):
+            compare(centre, neighbour, out=test)
+            np.logical_and(peaks, test, out=peaks)
+        jj, ii = np.divmod(np.flatnonzero(peaks), n_cols - 2)
+        found[start // PEAK_BLOCK] = list(zip(centre[jj, ii].tolist(), (ii + 1).tolist(),
+                                                (jj + lo).tolist()))
+
+    block_rows = min(PEAK_BLOCK, n_rows)
+    _run_blocks(peak_block, starts,
+                lambda: (np.empty((block_rows + 2, n_cols)),
+                         np.empty((block_rows, n_cols - 2), dtype=bool),
+                         np.empty((block_rows, n_cols - 2), dtype=bool)))
+    ranked = sorted((peak for block in found for peak in block), reverse=True)
     kept: list[tuple[int, int]] = []
     for _, i, j in ranked:
         for i2, j2 in kept:

@@ -9,6 +9,7 @@ from morsecontrol.analysis import (FRINGE_CLUSTER_WIDTH, FRINGE_MIN_EXTREMA,
                                    FRINGE_MIN_PROMINENCE, FRINGE_NOISE_REL,
                                    FRINGE_SWING_BALANCE, FRINGE_WINDOW_FACTOR,
                                    FRINGE_WINDOW_FLOOR)
+from morsecontrol import wigner
 from morsecontrol.wigner import _support_halfwidth
 
 
@@ -97,6 +98,47 @@ def _loop_alternating_extrema(values, floor):
 @pytest.fixture(scope="session")
 def loop_alternating_extrema():
     return _loop_alternating_extrema
+
+
+def _whole_grid_lobe_count(w, threshold_fraction):
+    """Lobe count with the peak search done on the whole grid at once.
+
+    The coarse grain of ``wigner._coarse_grain``, then one amplitude grid,
+    the four-neighbour test as whole-grid comparisons (strict toward i-1 and
+    j-1, i the x index), a 2-d ``nonzero``, and the ``(value, i, j)``
+    ranking and merge of ``lobe_count``: the oracle for its block-wise
+    search on the row-block threads.
+    """
+    smooth, cell_x, cell_p = wigner._coarse_grain(w)
+    amp = np.sqrt(np.clip(smooth, 0.0, None))
+    floor = threshold_fraction * float(amp.max())
+    interior = amp[1:-1, 1:-1]
+    peaks = (
+        (interior > amp[:-2, 1:-1])
+        & (interior >= amp[2:, 1:-1])
+        & (interior > amp[1:-1, :-2])
+        & (interior >= amp[1:-1, 2:])
+        & (interior >= floor)
+    )
+    ii, jj = np.nonzero(peaks)
+    ranked = sorted(
+        ((float(amp[i + 1, j + 1]), i + 1, j + 1) for i, j in zip(ii, jj)),
+        reverse=True,
+    )
+    kept = []
+    for _, i, j in ranked:
+        for i2, j2 in kept:
+            if (abs(i - i2) * w.dx <= wigner.LOBE_MERGE_CELLS * cell_x
+                    and abs(j - j2) * w.dp <= wigner.LOBE_MERGE_CELLS * cell_p):
+                break
+        else:
+            kept.append((i, j))
+    return len(kept)
+
+
+@pytest.fixture(scope="session")
+def whole_grid_lobe_count():
+    return _whole_grid_lobe_count
 
 
 def _loop_moving_average(padded, half):

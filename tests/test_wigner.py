@@ -16,6 +16,8 @@ from morsecontrol import (
     marginals,
     purity,
     spectral_moments,
+    tile_area,
+    uncertainties,
     wigner_overlap,
     wigner_transform,
 )
@@ -118,11 +120,30 @@ def test_overlap_peak_memory_is_one_leaf(classification_wigner):
     assert peak <= 0.05 * w.values.nbytes
 
 
+def test_lobe_count_peak_memory_stays_near_the_grid(classification_wigner, monkeypatch):
+    # the smoothing writes one grid; each thread adds one block of FFT rows,
+    # then one block of amplitudes and two boolean masks
+    w = classification_wigner["compass T/8"]
+    peaks = {}
+    for n in (1, 2):
+        monkeypatch.setattr(wigner, "_worker_count", lambda n=n: n)
+        tracemalloc.start()
+        try:
+            lobe_count(w)
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[2] <= 1.3 * w.values.nbytes
+    assert peaks[2] - peaks[1] <= 1.2e6
+
+
 def test_thread_count_does_not_move_a_bit(monkeypatch):
     # 1001 rows and 203 momentum columns: neither is a multiple of
-    # 2*ROW_BLOCK or SMOOTH_BLOCK, so both loops end on a partial block
-    assert 1001 % (2 * wigner.ROW_BLOCK) and 1001 % wigner.SMOOTH_BLOCK
-    assert 203 % wigner.SMOOTH_BLOCK
+    # 2*ROW_BLOCK, SMOOTH_BLOCK or PEAK_BLOCK, so every loop ends on a partial
+    # block, and both smoothing passes end on an odd one, whose last row goes
+    # through its complex transform alone
+    assert 1001 % (2 * wigner.ROW_BLOCK) and 1001 % wigner.SMOOTH_BLOCK % 2
+    assert 203 % wigner.SMOOTH_BLOCK % 2 and 203 % wigner.PEAK_BLOCK
     x = np.linspace(-8.0, 8.0, 1001)
     state = cat_state(x)
     state = StateGrid(x=x, psi=state.psi * np.exp(0.3j * x), theta=None, t=0.0)
@@ -309,6 +330,24 @@ def test_spectral_moments_equal_expression_oracle(model, times):
             assert spectral_moments(state) == _expression_spectral_moments(state)
 
 
+@pytest.mark.parametrize("call", [
+    spectral_moments,
+    uncertainties,
+    auto_momentum_grid,
+    wigner_transform,
+    lambda state: wigner_transform(state, np.linspace(-6.0, 6.0, 128)),
+    tile_area,
+], ids=["spectral_moments", "uncertainties", "auto_momentum_grid", "wigner_transform",
+        "wigner_transform_on_p", "tile_area"])
+def test_nan_sample_is_named(smoke_x, call):
+    # the scalar moments each call takes first are NaN; an inf sample is
+    # named the same way, after numpy's FFT warns of it
+    psi = gaussian_state(smoke_x).psi.copy()
+    psi[70] = np.nan
+    with pytest.raises(InvalidParameterError, match="state has non-finite samples"):
+        call(StateGrid(x=smoke_x, psi=psi, theta=None, t=0.0))
+
+
 def test_momentum_grid_must_cover_spectrum(smoke_x):
     state = gaussian_state(smoke_x, p0=5.0, sigma=0.5)
     with pytest.raises(AliasingError, match="spectral content"):
@@ -375,6 +414,91 @@ def test_lobe_count_empty_superlevel_set():
     w = WignerGrid(x=x, p=p, values=-np.ones((64, 32)), theta=None, t=0.0, norm_captured=0.0)
     with pytest.raises(GridError, match="no positive region"):
         lobe_count(w, 0.3)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_lobe_count_rejects_non_finite_grid(bad):
+    x = np.linspace(-1.0, 1.0, 64)
+    values = np.random.default_rng(5).random((64, 64))
+    values[40, 7] = bad
+    w = WignerGrid(x=x, p=x, values=values, theta=None, t=0.0, norm_captured=1.0)
+    # named before any arithmetic on it: a RuntimeWarning fails the test
+    with pytest.raises(GridError, match="non-finite values"):
+        lobe_count(w)
+
+
+@pytest.mark.parametrize("shape", [(1, 32), (32, 1)])
+def test_lobe_count_rejects_single_sample_axis(shape):
+    x, p = np.linspace(-1.0, 1.0, shape[0]), np.linspace(-1.0, 1.0, shape[1])
+    w = WignerGrid(x=x, p=p, values=np.ones(shape), theta=None, t=0.0, norm_captured=1.0)
+    with pytest.raises(GridError, match="at least two samples on each axis"):
+        lobe_count(w)
+
+
+def _lobe_counts(w, thresholds, count):
+    return [count(w, f) for f in thresholds]
+
+
+@pytest.mark.parametrize("merge", [True, False])
+def test_block_peak_search_matches_whole_grid(classification_wigner, whole_grid_lobe_count,
+                                              monkeypatch, merge):
+    if not merge:  # every local maximum above the floor counts
+        monkeypatch.setattr(wigner, "LOBE_MERGE_CELLS", 0.0)
+    thresholds = (0.05, 0.2, 0.3, 0.4)
+    expected = {label: _lobe_counts(w, thresholds, whole_grid_lobe_count)
+                for label, w in classification_wigner.items()}
+    for n in (1, 2, 3):
+        monkeypatch.setattr(wigner, "_worker_count", lambda n=n: n)
+        assert {label: _lobe_counts(w, thresholds, lobe_count)
+                for label, w in classification_wigner.items()} == expected
+
+
+@pytest.mark.parametrize("order", ["F", "C"])
+def test_block_peak_search_matches_whole_grid_on_plateaus_and_ties(whole_grid_lobe_count,
+                                                                   monkeypatch, order):
+    # four levels in 3 x 3 tiles: plateaus and exact ties everywhere, left
+    # as they are by an identity smoothing in either memory order; 70
+    # momentum columns end the search on a partial block of rows
+    monkeypatch.setattr(wigner, "_gaussian_smooth",
+                        lambda values, sigma: np.array(values, order=order))
+    monkeypatch.setattr(wigner, "LOBE_MERGE_CELLS", 0.0)
+    assert 70 % wigner.PEAK_BLOCK
+    thresholds = (0.2, 0.5, 0.9)
+    for seed in range(4):
+        levels = np.random.default_rng(seed).integers(0, 4, (33, 24))
+        values = np.kron(levels, np.ones((3, 3)))[:97, :70]
+        w = WignerGrid(x=np.linspace(-1.0, 1.0, 97), p=np.linspace(-2.0, 2.0, 70),
+                       values=values, theta=None, t=0.0, norm_captured=1.0)
+        expected = _lobe_counts(w, thresholds, whole_grid_lobe_count)
+        assert expected[-1] > 1  # ties at the top level
+        for n in (1, 2, 3):
+            monkeypatch.setattr(wigner, "_worker_count", lambda n=n: n)
+            assert _lobe_counts(w, thresholds, lobe_count) == expected
+
+
+@pytest.mark.parametrize("centre", ["last row", "first row", "tie across"])
+def test_peak_on_a_row_block_boundary_is_found_once(whole_grid_lobe_count, monkeypatch,
+                                                    centre):
+    # the search's rows are the momentum columns; its blocks meet between
+    # columns PEAK_BLOCK - 1 and PEAK_BLOCK
+    monkeypatch.setattr(wigner, "_gaussian_smooth",
+                        lambda values, sigma: np.asfortranarray(values))
+    monkeypatch.setattr(wigner, "LOBE_MERGE_CELLS", 0.0)
+    edge = wigner.PEAK_BLOCK
+    i, j = np.meshgrid(np.arange(40), np.arange(2 * edge + 5), indexing="ij")
+    if centre == "last row":
+        dj = j - (edge - 1)
+    elif centre == "first row":
+        dj = j - edge
+    else:  # equal maxima on both sides: the tie rule keeps the one at edge - 1
+        dj = np.minimum(abs(j - (edge - 1)), abs(j - edge))
+    values = np.exp(-((i - 17) ** 2 + dj ** 2) / 20.0)
+    w = WignerGrid(x=np.linspace(-1.0, 1.0, 40), p=np.linspace(-2.0, 2.0, 2 * edge + 5),
+                   values=values, theta=None, t=0.0, norm_captured=1.0)
+    assert whole_grid_lobe_count(w, 0.3) == 1
+    for n in (1, 2, 3):
+        monkeypatch.setattr(wigner, "_worker_count", lambda n=n: n)
+        assert lobe_count(w, 0.3) == 1
 
 
 def _scipy_smooth(values, sigma):
