@@ -77,8 +77,10 @@ def uncertainties(state: StateGrid) -> tuple[float, float]:
         moments = [aa * ee + bb * oo + 2.0 * (c.real * re - c.imag * im)
                    for ee, oo, re, im in sheet.moments]
     else:
-        moments = [row[0] for row in _moment_rows(
-            state.x, (state.density,), (np.abs(np.fft.fft(state.psi)) ** 2,))]
+        # a NaN or inf sample is named below, from the sums it spreads to
+        with np.errstate(invalid="ignore", over="ignore"):
+            moments = [row[0] for row in _moment_rows(
+                state.x, (state.density,), (np.abs(np.fft.fft(state.psi)) ** 2,))]
     if not math.isfinite(sum(moments)):
         raise InvalidParameterError("state has non-finite samples")
     if moments[0] == 0.0 or moments[3] == 0.0:

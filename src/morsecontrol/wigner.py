@@ -37,9 +37,10 @@ MOMENTUM_SPAN_FACTOR = 5.0
 #: Reject momentum grids that do not reach this many spectral widths.
 MOMENTUM_COVERAGE_FACTOR = 3.0
 SUPPORT_CUTOFF = 1e-12
-#: Row pairs per chirp-z call; larger blocks were slower, the transform
-#: being memory-bound, and the rows stay bit-identical either way.
-ROW_BLOCK = 8
+#: Row pairs per chirp-z call; the rows are the same bits at any block size.
+#: 16 pairs took about a fifth less time than 8; 24 was faster still, but
+#: its scratch took the transform's peak memory at 4 threads past 1.5 grids.
+ROW_BLOCK = 16
 #: Most threads the row blocks run on; only 1 and 2 were measured.
 MAX_ROW_THREADS = 4
 #: Most values one product of a grid reduction holds (128 KB of float64).
@@ -116,9 +117,11 @@ def _spread(norm: float, first: float, second: float) -> float:
 
 def spectral_moments(state: StateGrid) -> tuple[float, float]:
     """(mean, standard deviation) of the state's momentum distribution via DFT."""
-    rows = _moment_rows(state.x, (), (np.abs(np.fft.fft(state.psi)) ** 2,))
+    # a NaN or inf sample spreads to every bin of the spectrum, and so to its
+    # sums, which name it below; numpy's warnings on the way would come first
+    with np.errstate(invalid="ignore", over="ignore"):
+        rows = _moment_rows(state.x, (), (np.abs(np.fft.fft(state.psi)) ** 2,))
     total, first, second = (row[0] for row in rows[3:])
-    # a NaN or inf sample spreads to every bin of the spectrum, and so to its sums
     if not math.isfinite(total + first + second):
         raise InvalidParameterError("state has non-finite samples")
     if total == 0.0:
@@ -218,7 +221,10 @@ def wigner_transform(state: StateGrid, p: np.ndarray | None = None) -> WignerGri
     pairs. The lag product of row i is Hermitian, corr[-k] = conj(corr[k]),
     so its transform is real up to rounding: rows 2k and 2k+1 go in as
     corr[2k] + 1j*corr[2k+1] and come out as the real and imaginary parts
-    of one transform. An odd last row goes in alone.
+    of one transform. An odd last row goes in alone. The lag products are
+    read from three copies of the padded state made once per call, the
+    state, its conjugate reversed and 1j times it, so a block takes one
+    product per row and one sum per pair.
     """
     if p is None:
         p = auto_momentum_grid(state)
@@ -240,27 +246,34 @@ def wigner_transform(state: StateGrid, p: np.ndarray | None = None) -> WignerGri
     )
     tail_phase = np.exp(-2j * offsets[0] * p)
     scale = dx / math.pi
-    windows = sliding_window_view(padded, 2 * half + 1)
+    lags = offsets.size
+    # row i's lag product is conj(padded[i + lags - 1 - k]) * padded[i + k]:
+    # its first factor, read forward, is row i of mirrored, the windows of
+    # conj(padded) reversed, taken in reverse order
+    windows = sliding_window_view(padded, lags)
+    mirrored = sliding_window_view(np.conjugate(padded[::-1]), lags)[::-1]
+    shifted = sliding_window_view(1j * padded, lags)
     values = np.empty((nx, p.size))
 
     def pair_rows(i: int, buffers: tuple[np.ndarray, np.ndarray]) -> None:
-        seg = windows[i:i + 2 * ROW_BLOCK]
-        corr = buffers[0][:len(seg)]
-        np.conjugate(seg[:, ::-1], out=corr)
-        np.multiply(corr, seg, out=corr)
-        packed, odd = corr[0::2], corr[1::2]
-        work = buffers[1][:len(packed)]
-        shifted = work[:len(odd), :offsets.size]  # 1j*odd; the transform overwrites it
-        np.multiply(1j, odd, out=shifted)
-        np.add(packed[:len(odd)], shifted, out=packed[:len(odd)])
+        odd, work = buffers
+        stop = min(i + 2 * ROW_BLOCK, nx)
+        work = work[:(stop - i + 1) // 2]
+        packed = np.multiply(mirrored[i:stop:2], windows[i:stop:2], out=work[:, :lags])
+        # conj(a) * (1j*b) is 1j * (conj(a) * b) to the bit. One row at a
+        # time: a 2-d product would hold more in numpy's iterator buffers
+        # than the one row of scratch
+        for row, j in zip(packed, range(i + 1, stop, 2)):
+            np.multiply(mirrored[j], shifted[j], out=odd)
+            np.add(row, odd, out=row)
         pairs = transform(packed, work)
         np.multiply(tail_phase, pairs, out=pairs)
-        rows = values[i:i + len(seg)]
+        rows = values[i:stop]
         np.multiply(pairs.real, scale, out=rows[0::2])
-        np.multiply(pairs.imag[:len(odd)], scale, out=rows[1::2])
+        np.multiply(pairs.imag[:(stop - i) // 2], scale, out=rows[1::2])
 
     _run_blocks(pair_rows, range(0, nx, 2 * ROW_BLOCK),
-                lambda: (np.empty((2 * ROW_BLOCK, offsets.size), dtype=np.complex128),
+                lambda: (np.empty(lags, dtype=np.complex128),
                          np.empty((ROW_BLOCK, transform.nfft), dtype=np.complex128)))
     norm = float(values.sum() * dx * dp)
     return WignerGrid(x=state.x, p=p, values=values, theta=state.theta,
@@ -322,84 +335,117 @@ DEFAULT_LOBE_THRESHOLD = 0.3
 SMOOTH_BLOCK = 56
 #: Rows per block of the lobe search; bounds its amplitude and mask scratch.
 PEAK_BLOCK = 32
+#: The coarse grain smooths the rows of W from the first to the last whose
+#: largest |value| exceeds this share of the grid's largest. The rows beyond
+#: (about 830 of the 2,048 of a desk-scale paper state) count as zeros; the
+#: kernel's weights sum to 1, so no smoothed value moves by more than this
+#: share of max|W|, beyond rounding.
+SMOOTH_ROW_FLOOR = 1e-16
 
 
-def _smooth_rows(values: np.ndarray, sigma: float, out: np.ndarray) -> None:
-    """Gaussian smoothing along axis 1 into ``out``, with zeros beyond both ends.
+def _smooth_rows(values: np.ndarray, sigma: float, out: np.ndarray, offset: int = 0) -> None:
+    """Gaussian smoothing along axis 1 into ``out``, with zeros beyond the values.
 
-    A zero-padded linear convolution by FFT. The kernel is that of
+    Each row of ``values`` is taken to sit at columns [offset, offset + width)
+    of a row of ``out``, zeros elsewhere; ``out`` gets the whole smoothed
+    row, exact zeros where no value is within the kernel's radius. A
+    zero-padded linear convolution by FFT. The kernel is that of
     scipy.ndimage.gaussian_filter1d: radius int(4*sigma + 0.5) samples and
     weights exp(-k^2/(2 sigma^2)) summing to 1. The kernel is real, so rows
     2k and 2k+1 of a block go in as row[2k] + 1j*row[2k+1] and come out as
-    the real and imaginary parts of one complex convolution. ``out`` may be
-    ``values`` itself, or any view of its shape: each block of rows is read
-    before it is written.
+    the real and imaginary parts of one complex convolution. ``values`` may
+    be a view of ``out`` itself: each block of rows is read before it is
+    written.
     """
     radius = int(4.0 * sigma + 0.5)
     k = np.arange(-radius, radius + 1)
     kernel = np.exp(-0.5 / (sigma * sigma) * (k * k))
     kernel /= kernel.sum()
-    n = values.shape[1]
-    # the kept outputs [radius, radius + n) of the linear convolution are
-    # free of wrap-around for any nfft >= n + radius
-    nfft = next_fast_len(n + radius)
+    width, n = values.shape[1], out.shape[1]
+    # out's columns [lo, hi) are the outputs ``kept`` of the linear
+    # convolution; none wraps around in a circular one whose length reaches,
+    # radius included, from the first input to the last kept column and from
+    # the first kept column to the last input
+    lo, hi = max(offset - radius, 0), min(offset + width + radius, n)
+    nfft = next_fast_len(radius + max(hi - offset, offset + width - lo))
     response = np.fft.fft(kernel, nfft)
+    kept = slice(lo + radius - offset, hi + radius - offset)
 
     def smooth_block(i: int, buffer: np.ndarray) -> None:
         block = values[i:i + SMOOTH_BLOCK]
         even, odd = block[0::2], block[1::2]
         signal = buffer[:len(even)]
-        signal[:, n:] = 0.0
-        signal.real[:, :n] = even
-        signal.imag[:len(odd), :n] = odd
+        signal[:, width:] = 0.0
+        signal.real[:, :width] = even
+        signal.imag[:len(odd), :width] = odd
         # a lone last row: an earlier block's stale data in the imaginary
         # part would move the rounding of its real part
-        signal.imag[len(odd):, :n] = 0.0
+        signal.imag[len(odd):, :width] = 0.0
         np.fft.fft(signal, out=signal)
         np.multiply(signal, response, out=signal)
         np.fft.ifft(signal, out=signal)
-        kept = signal[:, radius:radius + n]
         rows = out[i:i + len(block)]
-        rows[0::2] = kept.real
-        rows[1::2] = kept.imag[:len(odd)]
+        rows[:, :lo] = 0.0
+        rows[:, hi:] = 0.0
+        rows[0::2, lo:hi] = signal.real[:, kept]
+        rows[1::2, lo:hi] = signal.imag[:len(odd), kept]
 
     pairs = (min(SMOOTH_BLOCK, values.shape[0]) + 1) // 2
     _run_blocks(smooth_block, range(0, values.shape[0], SMOOTH_BLOCK),
                 lambda: np.empty((pairs, nfft), dtype=np.complex128))
 
 
-def _gaussian_smooth(values: np.ndarray, sigma: tuple[float, float]) -> np.ndarray:
+def _occupied_rows(extent: np.ndarray) -> tuple[int, int]:
+    """(first, stop): the rows from the first to the last whose largest
+    |value|, ``extent``, exceeds SMOOTH_ROW_FLOOR of the largest of all."""
+    occupied = np.flatnonzero(extent > SMOOTH_ROW_FLOOR * extent.max())
+    return int(occupied[0]), int(occupied[-1]) + 1
+
+
+def _gaussian_smooth(values: np.ndarray, sigma: tuple[float, float],
+                     rows: tuple[int, int] | None = None) -> np.ndarray:
     """Gaussian smoothing of a 2-d grid with zeros outside it.
 
     scipy.ndimage.gaussian_filter with mode="constant" smooths axis 0 first,
     then axis 1; the passes commute, and the two agree to rounding
-    (tests/test_wigner.py). Both passes run over contiguous rows: the axis-1
-    pass reads the rows of ``values`` and writes the transpose of the
-    result, whose rows the axis-0 pass then smooths in place. The result is
-    that transpose's transpose, a Fortran-ordered array.
+    (tests/test_wigner.py). Only the rows [first, stop) of ``rows``, those
+    of ``_occupied_rows`` (found here when not given), are smoothed; the
+    rest count as zeros. Both passes run over contiguous rows: the axis-1
+    pass reads those rows of ``values`` and writes the transpose of the
+    result, whose rows the axis-0 pass then smooths in place, writing exact
+    zeros beyond the window and its kernel radius. The result is that
+    transpose's transpose, a Fortran-ordered array.
     """
+    if rows is None:
+        rows = _occupied_rows(np.maximum(values.max(axis=1), -values.min(axis=1)))
+    first, stop = rows
     smooth = np.empty((values.shape[1], values.shape[0]))
-    _smooth_rows(values, sigma[1], out=smooth.T)
-    _smooth_rows(smooth, sigma[0], out=smooth)
+    _smooth_rows(values[first:stop], sigma[1], out=smooth.T[first:stop])
+    _smooth_rows(smooth[:, first:stop], sigma[0], out=smooth, offset=first)
     return smooth.T
 
 
-def _positive_marginals(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column sums of the positive part of a grid, which must be finite.
+def _positive_marginals(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row and column sums of the positive part of a grid, which must be
+    finite, and each row's largest |value|.
 
     The positive part is clipped one block of rows at a time, below a row
     holding the column sums of the rows before it; numpy's axis-0 sum adds
     rows in order, so one sum of that stack carries the column sums across
-    blocks with the whole grid's bits.
+    blocks with the whole grid's bits. A NaN or inf shows in its row's
+    largest or smallest value, checked before any arithmetic.
     """
     n_rows, n_cols = values.shape
     pos = np.empty(n_rows)
+    extent = np.empty(n_rows)
     stack = np.empty((SMOOTH_BLOCK + 1, n_cols))
     mom = None
     for i in range(0, n_rows, SMOOTH_BLOCK):
         rows = values[i:i + SMOOTH_BLOCK]
-        if not np.isfinite(rows).all():
+        top, bottom = rows.max(axis=1), rows.min(axis=1)
+        if not (np.isfinite(top).all() and np.isfinite(bottom).all()):
             raise GridError("Wigner grid has non-finite values")
+        np.maximum(top, -bottom, out=extent[i:i + len(rows)])
         head = 0
         if mom is not None:
             stack[0] = mom
@@ -407,7 +453,7 @@ def _positive_marginals(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         block = np.clip(rows, 0.0, None, out=stack[head:head + len(rows)])
         pos[i:i + len(rows)] = block.sum(axis=1)
         mom = stack[:head + len(rows)].sum(axis=0)
-    return pos, mom
+    return pos, mom, extent
 
 
 def _coarse_grain(w: WignerGrid) -> tuple[np.ndarray, float, float]:
@@ -416,11 +462,11 @@ def _coarse_grain(w: WignerGrid) -> tuple[np.ndarray, float, float]:
     The cell has area LOBE_CELL_AREA/2 and is aspect-matched to the state
     (cell_x/cell_p equals the ratio of the marginal spreads), which wipes out
     sub-cell interference tiles while leaving the macroscopic packet lobes in
-    place.
+    place. The rows of W to smooth come from the marginals' pass.
     """
     if w.x.size < 2 or w.p.size < 2:
         raise GridError("lobe count needs at least two samples on each axis")
-    pos, mom = _positive_marginals(w.values)
+    pos, mom, extent = _positive_marginals(w.values)
     # a sum of non-negative terms is zero only if every term is
     if float(pos.sum()) <= 0.0:
         raise GridError("coarse-grained distribution has no positive region")
@@ -435,7 +481,8 @@ def _coarse_grain(w: WignerGrid) -> tuple[np.ndarray, float, float]:
     sp = _std(w.p, mom)
     cell_x = math.sqrt(LOBE_CELL_AREA * 0.5 * sx / sp)
     cell_p = math.sqrt(LOBE_CELL_AREA * 0.5 * sp / sx)
-    smooth = _gaussian_smooth(w.values, (cell_x / w.dx, cell_p / w.dp))
+    smooth = _gaussian_smooth(w.values, (cell_x / w.dx, cell_p / w.dp),
+                              rows=_occupied_rows(extent))
     return smooth, cell_x, cell_p
 
 
@@ -460,32 +507,37 @@ def lobe_count(w: WignerGrid, threshold_fraction: float = DEFAULT_LOBE_THRESHOLD
     smooth = smooth.T
     n_rows, n_cols = smooth.shape
     starts = range(0, n_rows, PEAK_BLOCK)
-    maxima = np.empty(len(starts))
+    column_max = np.empty((len(starts), n_cols))
 
     def block_max(start: int, _) -> None:
-        maxima[start // PEAK_BLOCK] = smooth[start:start + PEAK_BLOCK].max()
+        smooth[start:start + PEAK_BLOCK].max(axis=0, out=column_max[start // PEAK_BLOCK])
 
     _run_blocks(block_max, starts, lambda: None)
     # the amplitude is sqrt(clip(smooth, 0)), monotone, so its maximum over
-    # a block is that of the block's largest value
-    peak_amp = np.sqrt(np.clip(maxima, 0.0, None))
-    top = float(peak_amp.max())
+    # a block's column is that of the column's largest value
+    column_amp = np.sqrt(np.clip(column_max, 0.0, None, out=column_max), out=column_max)
+    top = float(column_amp.max())
     if top <= 0.0:
         raise GridError("coarse-grained distribution has no positive region")
     floor = threshold_fraction * top
 
     found: list[list[tuple[float, int, int]]] = [[] for _ in starts]
 
-    def peak_block(start: int, buffers: tuple[np.ndarray, np.ndarray, np.ndarray]) -> None:
+    def peak_block(start: int, _) -> None:
+        # a peak reaches the floor, so only the block's interior columns
+        # that do (most of the grid, beyond the packet lobes, does not) are
+        # searched
+        reach = np.flatnonzero(column_amp[start // PEAK_BLOCK, 1:-1] >= floor)
         lo, hi = max(start, 1), min(start + PEAK_BLOCK, n_rows - 1)
-        if lo >= hi or peak_amp[start // PEAK_BLOCK] < floor:
+        if lo >= hi or reach.size == 0:
             return
-        # the block's amplitudes with one row of each neighbour block
-        amp = buffers[0][:hi - lo + 2]
-        np.sqrt(np.clip(smooth[lo - 1:hi + 1], 0.0, None, out=amp), out=amp)
+        left, right = int(reach[0]) + 1, int(reach[-1]) + 2
+        # the block's amplitudes with one row and column of each neighbour
+        amp = np.clip(smooth[lo - 1:hi + 1, left - 1:right + 1], 0.0, None)
+        np.sqrt(amp, out=amp)
         centre = amp[1:-1, 1:-1]
-        peaks, test = buffers[1][:hi - lo], buffers[2][:hi - lo]
-        np.greater_equal(centre, floor, out=peaks)
+        peaks = centre >= floor
+        test = np.empty_like(peaks)
         # one strict side per axis so exact ties (symmetric states sampled
         # between grid points) still register exactly one maximum
         for compare, neighbour in ((np.greater, amp[:-2, 1:-1]),
@@ -494,15 +546,11 @@ def lobe_count(w: WignerGrid, threshold_fraction: float = DEFAULT_LOBE_THRESHOLD
                                    (np.greater_equal, amp[1:-1, 2:])):
             compare(centre, neighbour, out=test)
             np.logical_and(peaks, test, out=peaks)
-        jj, ii = np.divmod(np.flatnonzero(peaks), n_cols - 2)
-        found[start // PEAK_BLOCK] = list(zip(centre[jj, ii].tolist(), (ii + 1).tolist(),
+        jj, ii = np.divmod(np.flatnonzero(peaks), right - left)
+        found[start // PEAK_BLOCK] = list(zip(centre[jj, ii].tolist(), (ii + left).tolist(),
                                                 (jj + lo).tolist()))
 
-    block_rows = min(PEAK_BLOCK, n_rows)
-    _run_blocks(peak_block, starts,
-                lambda: (np.empty((block_rows + 2, n_cols)),
-                         np.empty((block_rows, n_cols - 2), dtype=bool),
-                         np.empty((block_rows, n_cols - 2), dtype=bool)))
+    _run_blocks(peak_block, starts, lambda: None)
     ranked = sorted((peak for block in found for peak in block), reverse=True)
     kept: list[tuple[int, int]] = []
     for _, i, j in ranked:

@@ -9,9 +9,13 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.ndimage import gaussian_filter
 
 from morsecontrol import (
+    I2,
+    RunConfig,
     StateGrid,
     WignerGrid,
     auto_momentum_grid,
+    build_model,
+    characteristic_times,
     lobe_count,
     marginals,
     purity,
@@ -94,18 +98,22 @@ def test_paired_rows_match_direct_quadrature(label, classification_wigner,
     assert np.abs(w.values - oracle).max() <= 1e-10 * np.abs(oracle).max()
 
 
-def test_transform_peak_memory_stays_near_the_output(classification_states):
-    # the rows are written into one preallocated grid, not stacked from blocks
+def test_transform_peak_memory_stays_near_the_output(classification_states, monkeypatch):
+    # the rows are written into one preallocated grid, not stacked from
+    # blocks; each thread adds its work array, one row of scratch and numpy's
+    # iterator buffers for its products, here at this machine's thread count
+    # and at the most threads the blocks run on
     state = classification_states["compass T/8"][0]
     p = auto_momentum_grid(state)
-    tracemalloc.start()
-    try:
-        w = wigner_transform(state, p)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.5 * w.values.nbytes
-
+    for n in (wigner._worker_count(), wigner.MAX_ROW_THREADS):
+        monkeypatch.setattr(wigner, "_worker_count", lambda n=n: n)
+        tracemalloc.start()
+        try:
+            w = wigner_transform(state, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * w.values.nbytes
 
 
 def test_overlap_peak_memory_is_one_leaf(classification_wigner):
@@ -125,7 +133,7 @@ def test_lobe_count_peak_memory_stays_near_the_grid(classification_wigner, monke
     # then one block of amplitudes and two boolean masks
     w = classification_wigner["compass T/8"]
     peaks = {}
-    for n in (1, 2):
+    for n in (1, 2, wigner.MAX_ROW_THREADS):
         monkeypatch.setattr(wigner, "_worker_count", lambda n=n: n)
         tracemalloc.start()
         try:
@@ -135,6 +143,7 @@ def test_lobe_count_peak_memory_stays_near_the_grid(classification_wigner, monke
             tracemalloc.stop()
     assert peaks[2] <= 1.3 * w.values.nbytes
     assert peaks[2] - peaks[1] <= 1.2e6
+    assert peaks[wigner.MAX_ROW_THREADS] <= 1.45 * w.values.nbytes
 
 
 def test_thread_count_does_not_move_a_bit(monkeypatch):
@@ -330,7 +339,8 @@ def test_spectral_moments_equal_expression_oracle(model, times):
             assert spectral_moments(state) == _expression_spectral_moments(state)
 
 
-@pytest.mark.parametrize("call", [
+#: Every call that takes a state's scalar moments before anything else.
+_MOMENT_CALLS = pytest.mark.parametrize("call", [
     spectral_moments,
     uncertainties,
     auto_momentum_grid,
@@ -339,11 +349,24 @@ def test_spectral_moments_equal_expression_oracle(model, times):
     tile_area,
 ], ids=["spectral_moments", "uncertainties", "auto_momentum_grid", "wigner_transform",
         "wigner_transform_on_p", "tile_area"])
+
+
+@_MOMENT_CALLS
 def test_nan_sample_is_named(smoke_x, call):
-    # the scalar moments each call takes first are NaN; an inf sample is
-    # named the same way, after numpy's FFT warns of it
+    # the scalar moments each call takes first are NaN
     psi = gaussian_state(smoke_x).psi.copy()
     psi[70] = np.nan
+    with pytest.raises(InvalidParameterError, match="state has non-finite samples"):
+        call(StateGrid(x=smoke_x, psi=psi, theta=None, t=0.0))
+
+
+@_MOMENT_CALLS
+@pytest.mark.parametrize("bad", [np.inf, -np.inf], ids=["+inf", "-inf"])
+def test_inf_sample_is_named(smoke_x, call, bad):
+    # the FFT of an inf sample has NaN bins; the sums name it, with no
+    # RuntimeWarning from numpy first (the suite fails on one)
+    psi = gaussian_state(smoke_x).psi.copy()
+    psi[70] = bad
     with pytest.raises(InvalidParameterError, match="state has non-finite samples"):
         call(StateGrid(x=smoke_x, psi=psi, theta=None, t=0.0))
 
@@ -460,7 +483,7 @@ def test_block_peak_search_matches_whole_grid_on_plateaus_and_ties(whole_grid_lo
     # as they are by an identity smoothing in either memory order; 70
     # momentum columns end the search on a partial block of rows
     monkeypatch.setattr(wigner, "_gaussian_smooth",
-                        lambda values, sigma: np.array(values, order=order))
+                        lambda values, sigma, rows=None: np.array(values, order=order))
     monkeypatch.setattr(wigner, "LOBE_MERGE_CELLS", 0.0)
     assert 70 % wigner.PEAK_BLOCK
     thresholds = (0.2, 0.5, 0.9)
@@ -482,7 +505,7 @@ def test_peak_on_a_row_block_boundary_is_found_once(whole_grid_lobe_count, monke
     # the search's rows are the momentum columns; its blocks meet between
     # columns PEAK_BLOCK - 1 and PEAK_BLOCK
     monkeypatch.setattr(wigner, "_gaussian_smooth",
-                        lambda values, sigma: np.asfortranarray(values))
+                        lambda values, sigma, rows=None: np.asfortranarray(values))
     monkeypatch.setattr(wigner, "LOBE_MERGE_CELLS", 0.0)
     edge = wigner.PEAK_BLOCK
     i, j = np.meshgrid(np.arange(40), np.arange(2 * edge + 5), indexing="ij")
@@ -501,8 +524,9 @@ def test_peak_on_a_row_block_boundary_is_found_once(whole_grid_lobe_count, monke
         assert lobe_count(w, 0.3) == 1
 
 
-def _scipy_smooth(values, sigma):
-    """The gaussian_filter coarse grain the FFT smoothing replaced."""
+def _scipy_smooth(values, sigma, rows=None):
+    """The gaussian_filter coarse grain the FFT smoothing replaced, over the
+    whole grid: the window of occupied rows, ``rows``, is not used."""
     return gaussian_filter(values, sigma=sigma, mode="constant", cval=0.0)
 
 
@@ -558,6 +582,90 @@ def test_coarse_grain_equals_whole_grid_clip(classification_wigner):
 def test_gaussian_smooth_matches_scipy_on_small_grids(shape, sigma):
     values = np.random.default_rng(sum(shape)).standard_normal(shape)
     _assert_close_to_max(wigner._gaussian_smooth(values, sigma), _scipy_smooth(values, sigma))
+
+
+def _blank_rows(blank, level, seed):
+    """A 203 x 61 grid of normals whose rows outside the returned window are
+    ``level`` times the grid's max|value|, times uniform noise in (-1, 1):
+    exact zeros for level 0, below SMOOTH_ROW_FLOOR for level 1e-17."""
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal((203, 61))
+    first, stop = {"top": (40, 203), "bottom": (0, 153), "both": (40, 153),
+                   "neither": (0, 203), "all but one": (101, 102)}[blank]
+    top = np.abs(values[first:stop]).max()
+    for rows in (values[:first], values[stop:]):
+        rows[:] = level * top * rng.uniform(-1.0, 1.0, rows.shape)
+    return values, (first, stop)
+
+
+@pytest.mark.parametrize("level", [0.0, 1e-17], ids=["zero", "below floor"])
+@pytest.mark.parametrize("blank", ["top", "bottom", "both", "neither", "all but one"])
+def test_smoothing_skips_blank_rows(monkeypatch, blank, level):
+    # the window runs from the first to the last row above the floor; the
+    # rows beyond it and the kernel radius are exact zeros, the rest is
+    # scipy's smoothing to rounding, and the bytes are the same on 1-3 threads
+    values, (first, stop) = _blank_rows(blank, level, seed=len(blank))
+    sigma = (3.3, 1.7)
+    radius = int(4.0 * sigma[0] + 0.5)  # scipy's kernel radius
+    extent = np.maximum(values.max(axis=1), -values.min(axis=1))
+    assert wigner._occupied_rows(extent) == (first, stop)
+    results = set()
+    for n in (1, 2, 3):
+        monkeypatch.setattr(wigner, "_worker_count", lambda n=n: n)
+        smooth = wigner._gaussian_smooth(values, sigma)
+        results.add(smooth.tobytes())
+    assert len(results) == 1
+    assert not smooth[:max(first - radius, 0)].any()
+    assert not smooth[stop + radius:].any()
+    _assert_close_to_max(smooth, _scipy_smooth(values, sigma))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_search_of_the_columns_above_the_floor_matches_whole_grid(whole_grid_lobe_count,
+                                                                  monkeypatch, seed):
+    # each block of the search reads only the columns where its amplitude
+    # reaches the floor: narrow bumps at random places, some on or next to
+    # the grid's edges, and thresholds that cut them at several widths
+    monkeypatch.setattr(wigner, "_gaussian_smooth",
+                        lambda values, sigma, rows=None: np.asfortranarray(values))
+    monkeypatch.setattr(wigner, "LOBE_MERGE_CELLS", 0.0)
+    rng = np.random.default_rng(seed)
+    i, j = np.meshgrid(np.arange(90), np.arange(75), indexing="ij")
+    centres = np.concatenate([rng.integers(0, [90, 75], (6, 2)),
+                              [[0, 40], [89, 3], [1, 74], [45, 1]]])
+    values = sum(rng.uniform(0.2, 1.0) * np.exp(-((i - ci) ** 2 + (j - cj) ** 2)
+                                                / rng.uniform(1.0, 8.0))
+                 for ci, cj in centres)
+    w = WignerGrid(x=np.linspace(-1.0, 1.0, 90), p=np.linspace(-2.0, 2.0, 75),
+                   values=values, theta=None, t=0.0, norm_captured=1.0)
+    thresholds = (0.05, 0.3, 0.6, 0.9)
+    expected = _lobe_counts(w, thresholds, whole_grid_lobe_count)
+    for n in (1, 2, 3):
+        monkeypatch.setattr(wigner, "_worker_count", lambda n=n: n)
+        assert _lobe_counts(w, thresholds, lobe_count) == expected
+
+
+def test_windowed_lobe_counts_match_whole_grid_scipy(whole_grid_lobe_count, monkeypatch):
+    # 8 phases x 4 times at nx=1024 np=256: the windowed smoothing and search
+    # count what scipy's whole-grid smoothing and a whole-grid search count
+    model = build_model(RunConfig(nx=1024))
+    _, t_rev = characteristic_times(I2)
+    thresholds = (0.2, 0.3, 0.4)
+    grids = []
+    for k in range(8):
+        for frac in (0.0, 1 / 16, 1 / 8, 1 / 4):
+            state = model.phase_locked(2.0 * math.pi * (k + 0.5) / 8, frac * t_rev)
+            grids.append(wigner_transform(state, auto_momentum_grid(state, 256)))
+    ours = [_lobe_counts(w, thresholds, lobe_count) for w in grids]
+    smoothed = {}  # scipy's smoothing of each grid, once for all thresholds
+
+    def scipy_once(values, sigma, rows=None):
+        if id(values) not in smoothed:
+            smoothed[id(values)] = _scipy_smooth(values, sigma)
+        return smoothed[id(values)]
+
+    monkeypatch.setattr(wigner, "_gaussian_smooth", scipy_once)
+    assert ours == [_lobe_counts(w, thresholds, whole_grid_lobe_count) for w in grids]
 
 
 def test_lobe_count_matches_scipy_smoothing(classification_wigner, monkeypatch):
