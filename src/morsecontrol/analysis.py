@@ -15,7 +15,7 @@ import numpy as np
 from .czt import CZT
 from .errors import GridError, InvalidParameterError, TruncationError
 from .morse import _check_uniform
-from .wavepacket import StateGrid, WavePacketModel
+from .wavepacket import StateGrid, WavePacketModel, _check_finite
 from .wigner import (_moment_rows, _spread, _trapezoid, auto_momentum_grid, wigner_overlap,
                      wigner_transform)
 
@@ -77,14 +77,10 @@ def uncertainties(state: StateGrid) -> tuple[float, float]:
         moments = [aa * ee + bb * oo + 2.0 * (c.real * re - c.imag * im)
                    for ee, oo, re, im in sheet.moments]
     else:
-        # a NaN or inf sample is named below, from the sums it spreads to
+        # a NaN or inf sample is named by _spread, from the sums it spreads to
         with np.errstate(invalid="ignore", over="ignore"):
             moments = [row[0] for row in _moment_rows(
                 state.x, (state.density,), (np.abs(np.fft.fft(state.psi)) ** 2,))]
-    if not math.isfinite(sum(moments)):
-        raise InvalidParameterError("state has non-finite samples")
-    if moments[0] == 0.0 or moments[3] == 0.0:
-        raise InvalidParameterError("state has zero norm")
     return _spread(*moments[:3]), _spread(*moments[3:])
 
 
@@ -321,6 +317,7 @@ def sensitivity_scan(state: StateGrid, direction: str, max_shift: float, steps: 
         raise InvalidParameterError(f"steps must be >= 32, got {steps}")
     if direction not in ("position", "momentum"):
         raise InvalidParameterError(f"direction must be 'position' or 'momentum', got {direction!r}")
+    _check_finite("max_shift", max_shift)
     shifts = np.linspace(0.0, max_shift, steps)
 
     def displace(s: float) -> StateGrid:
@@ -337,11 +334,9 @@ def sensitivity_scan(state: StateGrid, direction: str, max_shift: float, steps: 
     below = np.flatnonzero(overlaps < OVERLAP_ZERO_LEVEL)
     first_zero = float(shifts[below[0]]) if below.size else None
 
+    # n_checks <= steps: the points are at least 1 apart, so no index repeats
     n_checks = min(max(cross_checks, 0), steps)
-    # non-decreasing, so dropping repeats gives np.unique's indices without
-    # importing numpy.ma, which np.unique does
     idx = np.linspace(0, steps - 1, n_checks).astype(np.int64)
-    idx = idx[np.diff(idx, prepend=-1) != 0]
     if idx.size:
         p_grid = auto_momentum_grid(state) if p is None else p
         w_base = wigner_transform(state, p_grid)

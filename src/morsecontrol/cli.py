@@ -217,7 +217,7 @@ def _write_grid_csv(ws: _Workspace, path: Path, header: list[str], row_axis: np.
 
     children: list[tuple[int, Path]] = []
     try:
-        # The row-block thread pools have shut down by now, so this process
+        # Every row-block thread has been joined by now, so this process
         # runs no thread of the package's own; a child only formats and
         # writes text, with no BLAS call and no lock. SIGINT stays blocked
         # until every child is recorded here and is inside _write_part.

@@ -43,6 +43,8 @@ class GridFile:
     meta: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        if any(a.ndim != 1 for a in self.axes):
+            raise FormatError(f"axes must be 1-d, got shapes {[a.shape for a in self.axes]}")
         dims = tuple(int(a.size) for a in self.axes)
         if self.payload.shape != dims:
             raise FormatError(
@@ -56,14 +58,6 @@ class GridFile:
 def _meta_bytes(meta: dict[str, str]) -> bytes:
     return json.dumps(meta, ensure_ascii=False, sort_keys=True,
                       separators=(",", ":")).encode("utf-8")
-
-
-def file_size(dims: tuple[int, ...], meta: dict[str, str]) -> int:
-    """Exact on-disk size in bytes for the given shape and metadata."""
-    total = len(MAGIC) + 1 + 4 + 8 * len(dims)
-    total += 8 * sum(dims) + 8 * int(np.prod(dims, dtype=np.int64))
-    total += 8 + len(_meta_bytes(meta))
-    return total
 
 
 def write_grid(path: str | Path, grid: GridFile) -> None:

@@ -22,6 +22,11 @@ from .errors import DegenerateSplitError, GridError, InvalidParameterError
 from .morse import MorseParams, _check_uniform, eigenfunction_table, energies
 
 
+def _check_finite(name: str, value: float) -> None:
+    if not math.isfinite(value):
+        raise InvalidParameterError(f"{name}={value!r} is not finite")
+
+
 def su2_coefficients(alpha: float, n_max: int) -> "CoefficientSet":
     """Binomial coherent-ladder amplitudes sqrt(C(n_max, m)) * alpha**m / (1+alpha**2)**(n_max/2).
 
@@ -30,8 +35,7 @@ def su2_coefficients(alpha: float, n_max: int) -> "CoefficientSet":
     """
     if n_max < 1:
         raise InvalidParameterError(f"n_max must be >= 1, got {n_max}")
-    if not math.isfinite(alpha):
-        raise InvalidParameterError(f"alpha={alpha!r} is not finite")
+    _check_finite("alpha", alpha)
     m = np.arange(n_max + 1)
     if alpha == 0.0:
         c = np.zeros(n_max + 1)
@@ -117,7 +121,7 @@ class StateGrid:
         default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.x.ndim != 1 or self.x.size != self.psi.size:
+        if self.x.ndim != 1 or self.x.shape != self.psi.shape:
             raise GridError("x and psi must be 1-d arrays of equal length")
         _check_uniform(self.x)
 
@@ -149,6 +153,7 @@ class StateGrid:
 def _phase_weights(theta: float) -> tuple[float, complex, complex]:
     """theta reduced mod 2*pi, and the weights (a, b) of the even and odd
     packets at it, from one exp(i*theta)."""
+    _check_finite("theta", theta)
     th = float(theta) % (2.0 * math.pi)
     turn = np.exp(1j * th)
     return th, 0.5 * (1.0 - turn), 0.5 * (1.0 + turn)
@@ -219,6 +224,7 @@ class WavePacketModel:
         """The even and odd packets at t, from the one-entry cache."""
         cached = self._packets_at
         if cached is None or cached[0] != t:
+            _check_finite("t", t)
             cached = (float(t), _ParitySheet(self._packet("even", t), self._packet("odd", t)))
             self._packets_at = cached
         return cached[1]
@@ -262,6 +268,7 @@ class WavePacketModel:
         ``phase_locked`` samples it through the two packets instead.
         """
         _, a, b = _phase_weights(theta)
+        _check_finite("t", t)
         c = np.empty(self.energies.size, dtype=np.complex128)
         for weight, parity in ((a, "even"), (b, "odd")):
             levels, amplitudes = self._parities[parity]

@@ -110,7 +110,12 @@ def _moment_rows(x: np.ndarray, densities: tuple[np.ndarray, ...],
 
 
 def _spread(norm: float, first: float, second: float) -> float:
-    """Standard deviation from the zeroth, first and second moments."""
+    """Standard deviation from the zeroth, first and second moments of a state's
+    density or spectrum; non-finite moments name a non-finite sample."""
+    if not math.isfinite(norm + first + second):
+        raise InvalidParameterError("state has non-finite samples")
+    if norm == 0.0:
+        raise InvalidParameterError("state has zero norm")
     mean = first / norm
     return math.sqrt(max(second / norm - mean * mean, 0.0))
 
@@ -118,15 +123,12 @@ def _spread(norm: float, first: float, second: float) -> float:
 def spectral_moments(state: StateGrid) -> tuple[float, float]:
     """(mean, standard deviation) of the state's momentum distribution via DFT."""
     # a NaN or inf sample spreads to every bin of the spectrum, and so to its
-    # sums, which name it below; numpy's warnings on the way would come first
+    # sums, which _spread names; numpy's warnings on the way would come first
     with np.errstate(invalid="ignore", over="ignore"):
         rows = _moment_rows(state.x, (), (np.abs(np.fft.fft(state.psi)) ** 2,))
     total, first, second = (row[0] for row in rows[3:])
-    if not math.isfinite(total + first + second):
-        raise InvalidParameterError("state has non-finite samples")
-    if total == 0.0:
-        raise InvalidParameterError("state has zero norm")
-    return first / total, _spread(total, first, second)
+    spread = _spread(total, first, second)
+    return first / total, spread
 
 
 def auto_momentum_grid(state: StateGrid, n: int = DEFAULT_MOMENTUM_POINTS) -> np.ndarray:
@@ -430,29 +432,27 @@ def _positive_marginals(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
     finite, and each row's largest |value|.
 
     The positive part is clipped one block of rows at a time, below a row
-    holding the column sums of the rows before it; numpy's axis-0 sum adds
-    rows in order, so one sum of that stack carries the column sums across
-    blocks with the whole grid's bits. A NaN or inf shows in its row's
-    largest or smallest value, checked before any arithmetic.
+    holding the column sums of the rows before it (zeros for the first
+    block); numpy's axis-0 sum adds rows in order, and 0.0 + x is x, so one
+    sum of that stack carries the column sums across blocks with the whole
+    grid's bits. A NaN or inf shows in its row's largest or smallest value,
+    checked before any arithmetic.
     """
     n_rows, n_cols = values.shape
     pos = np.empty(n_rows)
     extent = np.empty(n_rows)
     stack = np.empty((SMOOTH_BLOCK + 1, n_cols))
-    mom = None
+    mom = np.zeros(n_cols)
     for i in range(0, n_rows, SMOOTH_BLOCK):
         rows = values[i:i + SMOOTH_BLOCK]
         top, bottom = rows.max(axis=1), rows.min(axis=1)
         if not (np.isfinite(top).all() and np.isfinite(bottom).all()):
             raise GridError("Wigner grid has non-finite values")
         np.maximum(top, -bottom, out=extent[i:i + len(rows)])
-        head = 0
-        if mom is not None:
-            stack[0] = mom
-            head = 1
-        block = np.clip(rows, 0.0, None, out=stack[head:head + len(rows)])
+        stack[0] = mom
+        block = np.clip(rows, 0.0, None, out=stack[1:1 + len(rows)])
         pos[i:i + len(rows)] = block.sum(axis=1)
-        mom = stack[:head + len(rows)].sum(axis=0)
+        mom = stack[:1 + len(rows)].sum(axis=0)
     return pos, mom, extent
 
 

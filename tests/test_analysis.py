@@ -150,6 +150,17 @@ def test_zero_state_rejected(toy_x, entry):
         entry(state)
 
 
+def test_underflowing_state_keeps_its_moments():
+    # |psi|^2 = 1e-326 underflows to 0, but the spectrum's zero bin,
+    # (2048e-163)^2, does not: the position norm is 0, the momentum norm is not
+    x = np.arange(2048.0)
+    state = StateGrid(x=x, psi=np.full(x.size, 1e-163, dtype=complex), theta=None, t=0.0)
+    for entry in (uncertainties, tile_area):
+        with pytest.raises(InvalidParameterError, match="state has zero norm"):
+            entry(state)
+    assert spectral_moments(state) == (0.0, 0.0)
+
+
 @settings(max_examples=300, deadline=None)
 @given(values=st.lists(st.integers(0, 4).map(float), min_size=2, max_size=64),
        floor=st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.5]))
@@ -357,6 +368,13 @@ def test_sensitivity_scan_validation(toy_x):
         sensitivity_scan(state, "position", 1.0, steps=8)
     with pytest.raises(InvalidParameterError, match="direction"):
         sensitivity_scan(state, "sideways", 1.0, steps=32)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "+inf", "-inf"])
+def test_sensitivity_scan_rejects_non_finite_max_shift(toy_x, bad):
+    # refused before any work: NaN shifts would warn, an infinite one truncate
+    with pytest.raises(InvalidParameterError, match="max_shift=.* is not finite"):
+        sensitivity_scan(gaussian_state(toy_x), "position", bad, steps=32)
 
 
 def test_carpet_rows_normalized(model, times):

@@ -1,6 +1,6 @@
 """No dead names in the package: every imported name is used in its module
-or re-exported through ``__all__``, and every private top-level function or
-class is referenced somewhere in the package."""
+or re-exported through ``__all__``, and every top-level function or class is
+referenced somewhere in the package or, if public, listed in ``__all__``."""
 
 import ast
 from pathlib import Path
@@ -38,10 +38,13 @@ def test_every_import_is_used():
     assert unused == []
 
 
-def test_every_private_definition_is_referenced():
-    # a name, an attribute (module._name) or an import of it, in any module
+def _unreferenced(public: bool) -> list[str]:
+    """The top-level functions and classes, public or private, that no
+    module names, reads as an attribute (module._name), imports or lists in
+    its ``__all__``."""
     referenced = set()
     for tree in SOURCES.values():
+        referenced |= _exported(tree)
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 referenced.add(node.id)
@@ -49,8 +52,16 @@ def test_every_private_definition_is_referenced():
                 referenced.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
                 referenced |= {alias.name for alias in node.names}
-    dead = [f"{path.name}: {node.name}" for path, tree in SOURCES.items() for node in tree.body
+    return [f"{path.name}: {node.name}" for path, tree in SOURCES.items() for node in tree.body
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-            and node.name.startswith("_") and not node.name.startswith("__")
+            and not node.name.startswith("__")
+            and node.name.startswith("_") != public
             and node.name not in referenced]
-    assert dead == []
+
+
+def test_every_private_definition_is_referenced():
+    assert _unreferenced(public=False) == []
+
+
+def test_every_public_definition_is_referenced_or_exported():
+    assert _unreferenced(public=True) == []

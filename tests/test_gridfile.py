@@ -1,3 +1,4 @@
+import struct
 import tracemalloc
 
 import numpy as np
@@ -8,7 +9,6 @@ from hypothesis.extra.numpy import arrays
 
 from morsecontrol import GridFile, read_grid, write_grid
 from morsecontrol.errors import FormatError
-from morsecontrol.gridfile import file_size
 
 
 def roundtrip(tmp_path, grid, name="g.wgrd"):
@@ -44,7 +44,6 @@ def test_file_size_closed_form(tmp_path):
     p = np.linspace(-2, 2, 512)
     grid = GridFile(axes=(x, p), payload=np.zeros((1024, 512)), meta={"k": "v"})
     path, _ = roundtrip(tmp_path, grid)
-    assert path.stat().st_size == file_size((1024, 512), {"k": "v"})
     # header + dims + axes + payload + metadata, all explicit
     expected = 5 + 1 + 4 + 16 + 8 * (1024 + 512) + 8 * 1024 * 512 + 8 + len(b'{"k":"v"}')
     assert path.stat().st_size == expected
@@ -53,6 +52,12 @@ def test_file_size_closed_form(tmp_path):
 def test_shape_mismatch_rejected():
     with pytest.raises(FormatError, match="shape"):
         GridFile(axes=(np.zeros(3),), payload=np.zeros(4))
+
+
+def test_axes_must_be_one_dimensional():
+    # a (2, 2) axis would come back from read_grid as shape (4,)
+    with pytest.raises(FormatError, match="axes must be 1-d"):
+        GridFile(axes=(np.zeros((2, 2)),), payload=np.zeros(4))
 
 
 def test_non_string_metadata_rejected():
@@ -96,6 +101,30 @@ def test_bad_endian_flag_rejected(tmp_path):
     data[5:6] = b">"
     path.write_bytes(bytes(data))
     with pytest.raises(FormatError, match="endian"):
+        read_grid(path)
+
+
+@pytest.mark.parametrize("rank", [0, 9])
+def test_rank_out_of_range_rejected(tmp_path, rank):
+    path = tmp_path / "rank.wgrd"
+    path.write_bytes(b"WGRD1<" + struct.pack("<I", rank))
+    with pytest.raises(FormatError, match=f"rank {rank} out of range 1..8"):
+        read_grid(path)
+
+
+@pytest.mark.parametrize("meta, message", [
+    (b"\xff\xfe", "not UTF-8 JSON"),
+    (b"{,", "not UTF-8 JSON"),
+    (b"[]", "must be a JSON object"),
+])
+def test_bad_metadata_rejected(tmp_path, meta, message):
+    path = tmp_path / "meta.wgrd"
+    write_grid(path, GridFile(axes=(np.zeros(2),), payload=np.zeros(2)))
+    # the file ends with the two bytes of the empty object "{}"
+    data = path.read_bytes()
+    assert data[-2:] == b"{}"
+    path.write_bytes(data[:-2] + meta)
+    with pytest.raises(FormatError, match=message):
         read_grid(path)
 
 

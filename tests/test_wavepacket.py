@@ -11,6 +11,7 @@ from morsecontrol import (
     I2,
     StateGrid,
     WavePacketModel,
+    carpet,
     split_even_odd,
     su2_coefficients,
 )
@@ -258,6 +259,14 @@ def test_state_grid_validation():
                       theta=None, t=0.0)
 
 
+def test_state_grid_compares_shapes():
+    # equal sizes are not enough: a (2, 32) psi on a 64-point x is refused here,
+    # not later by numpy's broadcasting
+    x = np.linspace(0.0, 1.0, 64)
+    with pytest.raises(GridError, match="1-d arrays of equal length"):
+        StateGrid(x=x, psi=np.zeros((2, 32), complex), theta=None, t=0.0)
+
+
 def test_check_uniform_boundaries():
     # 1e-9 * s0 rounds to exactly 2**-20, and s0 +- 2**-20 are doubles
     s0, tol = 1e9 / 2**20, 2.0**-20
@@ -390,3 +399,35 @@ def test_density_mirror_phase_is_time_reversal(model, times):
 def test_subsidiary_unknown_parity(model):
     with pytest.raises(InvalidParameterError):
         model.subsidiary("mixed", 0.0)
+
+
+def test_model_splits_an_unsplit_ladder(model, times):
+    coeffs = su2_coefficients(2.0, 23)
+    assert not coeffs.is_split
+    unsplit = WavePacketModel(model.params, coeffs, model.x)
+    split = WavePacketModel(model.params, split_even_odd(coeffs), model.x)
+    for theta, t in ((0.0, 0.0), (math.pi / 4, times[1] / 16), (2.0, 0.37 * times[1])):
+        assert np.array_equal(unsplit.phase_locked(theta, t).psi, split.phase_locked(theta, t).psi)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "+inf", "-inf"])
+@pytest.mark.parametrize("name, call", [
+    ("theta", lambda m, bad: m.phase_locked(bad, 0.0)),
+    ("t", lambda m, bad: m.phase_locked(0.3, bad)),
+    ("theta", lambda m, bad: m.density(bad, 0.0)),
+    ("t", lambda m, bad: m.density(0.3, bad)),
+    ("theta", lambda m, bad: m.amplitudes(bad, 0.0)),
+    ("t", lambda m, bad: m.amplitudes(0.3, bad)),
+    ("t", lambda m, bad: m.subsidiary("odd", bad)),
+    ("theta", lambda m, bad: m.density_decomposition(bad, 0.0)),
+    ("t", lambda m, bad: m.density_decomposition(0.3, bad)),
+    ("t", lambda m, bad: carpet(m, bad, 9)),
+], ids=["phase_locked-theta", "phase_locked-t", "density-theta", "density-t",
+        "amplitudes-theta", "amplitudes-t", "subsidiary-t", "density_decomposition-theta",
+        "density_decomposition-t", "carpet-t"])
+def test_model_refuses_non_finite_theta_and_t(model, name, call, bad):
+    # named where it enters, before any NaN sample or numpy warning
+    with pytest.raises(InvalidParameterError, match=f"^{name}=.* is not finite"):
+        call(model, bad)
+    # the refused time is not cached
+    assert np.isfinite(model.phase_locked(0.3, 0.0).psi).all()

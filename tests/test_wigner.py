@@ -289,6 +289,15 @@ def test_wigner_overlap_matches_direct_inner_product(smoke_x):
     assert wigner_overlap(w_a, w_b) == wigner_overlap(w_b, w_a)
 
 
+def test_wigner_overlap_rejects_different_axes(smoke_x):
+    p = np.linspace(-6.0, 6.0, 96)
+    w = wigner_transform(gaussian_state(smoke_x), p)
+    shifted = WignerGrid(x=w.x + 0.5, p=w.p, values=w.values, theta=None, t=0.0,
+                         norm_captured=w.norm_captured)
+    with pytest.raises(GridError, match="different axes"):
+        wigner_overlap(w, shifted)
+
+
 @pytest.mark.parametrize("leaf", [1024, 16384])
 @pytest.mark.parametrize("shape", [(2048, 512), (4096, 1024), (1001, 203), (97, 33),
                                    (3000, 777), (128, 128), (12345,), (1, 70001)])
@@ -435,6 +444,20 @@ def test_lobe_count_empty_superlevel_set():
     x = np.linspace(-1.0, 1.0, 64)
     p = np.linspace(-1.0, 1.0, 32)
     w = WignerGrid(x=x, p=p, values=-np.ones((64, 32)), theta=None, t=0.0, norm_captured=0.0)
+    with pytest.raises(GridError, match="no positive region"):
+        lobe_count(w, 0.3)
+
+
+def test_lobe_count_positive_cell_smoothed_away():
+    # the one positive cell passes the coarse grain's own check, but the
+    # negative grid around it leaves its coarse grain positive nowhere
+    x = np.linspace(-1.0, 1.0, 64)
+    p = np.linspace(-1.0, 1.0, 32)
+    values = -np.ones((64, 32))
+    values[30, 15] = 1e-3
+    w = WignerGrid(x=x, p=p, values=values, theta=None, t=0.0, norm_captured=0.0)
+    smooth, _, _ = wigner._coarse_grain(w)
+    assert smooth.max() <= 0.0
     with pytest.raises(GridError, match="no positive region"):
         lobe_count(w, 0.3)
 
