@@ -15,9 +15,9 @@ import numpy as np
 from .czt import CZT
 from .errors import GridError, InvalidParameterError, TruncationError
 from .morse import _check_uniform
-from .wavepacket import StateGrid, WavePacketModel, _check_finite
-from .wigner import (_moment_rows, _spread, _trapezoid, auto_momentum_grid, wigner_overlap,
-                     wigner_transform)
+from .wavepacket import (StateGrid, WavePacketModel, _check_finite, _moment_rows, _spread,
+                         _trapezoid)
+from .wigner import auto_momentum_grid, wigner_overlap, wigner_transform
 
 OVERLAP_ZERO_LEVEL = 1e-2
 
@@ -47,48 +47,33 @@ class CarpetGrid:
     density: np.ndarray
 
 
-def _products(first: np.ndarray, second: np.ndarray) -> tuple[np.ndarray, ...]:
-    """|F|^2, |S|^2, Re(conj(F)*S) and Im(conj(F)*S)."""
-    cross = np.conj(first) * second
-    return np.abs(first) ** 2, np.abs(second) ** 2, cross.real, cross.imag
-
-
 def uncertainties(state: StateGrid) -> tuple[float, float]:
     """(position spread, momentum spread) of a normalized state.
 
     The position route is direct quadrature; the momentum route sums the
     squared DFT spectrum, exact by discrete Parseval. A state from
-    ``WavePacketModel.phase_locked`` takes both from the moments of the four
-    products of its two parity packets E and O, computed once per time and
-    kept with the packets. Each moment of |a*E + b*O|^2 is then
-    |a|^2*EE + |b|^2*OO + 2*Re(c*EO) with c = conj(a)*b, and so is each
-    moment of its spectrum: the same sums, regrouped, so they agree with the
-    route over the state's own samples to rounding.
+    ``WavePacketModel.phase_locked`` carries the two spreads already, from
+    the per-time moments of its parity packets.
     """
-    if state._parity_mix is not None:
-        a, b, sheet = state._parity_mix
-        if sheet.moments is None:
-            sheet.moments = _moment_rows(
-                state.x, _products(sheet.even, sheet.odd),
-                _products(np.fft.fft(sheet.even), np.fft.fft(sheet.odd)))
-        a, b = complex(a), complex(b)
-        c = a.conjugate() * b
-        aa, bb = abs(a) ** 2, abs(b) ** 2
-        moments = [aa * ee + bb * oo + 2.0 * (c.real * re - c.imag * im)
-                   for ee, oo, re, im in sheet.moments]
-    else:
-        # a NaN or inf sample is named by _spread, from the sums it spreads to
-        with np.errstate(invalid="ignore", over="ignore"):
-            moments = [row[0] for row in _moment_rows(
-                state.x, (state.density,), (np.abs(np.fft.fft(state.psi)) ** 2,))]
+    if state._spreads is not None:
+        return state._spreads
+    # a NaN or inf sample is named by _spread, from the sums it spreads to
+    with np.errstate(invalid="ignore", over="ignore"):
+        moments = [row[0] for row in _moment_rows(
+            state.x, (state.density,), (np.abs(np.fft.fft(state.psi)) ** 2,))]
     return _spread(*moments[:3]), _spread(*moments[3:])
 
 
 def tile_area(state: StateGrid) -> float:
     """Inverse action 1/(dx*dp): the phase-space area scale of the smallest
-    interference tiles the state can carry (hbar = 1)."""
+    interference tiles the state can carry (hbar = 1). Raises
+    InvalidParameterError when dx*dp is 0."""
     dx_spread, dp_spread = uncertainties(state)
-    return 1.0 / (dx_spread * dp_spread)
+    action = dx_spread * dp_spread
+    if action == 0.0:
+        raise InvalidParameterError(
+            f"tile area needs a nonzero dx*dp, got dx={dx_spread!r} and dp={dp_spread!r}")
+    return 1.0 / action
 
 
 def momentum_density(state: StateGrid, p: np.ndarray) -> np.ndarray:
@@ -273,6 +258,8 @@ def displaced_state(state: StateGrid, dx_shift: float = 0.0, dp_shift: float = 0
     the exact phase exp(i*dp_shift*x). Raises TruncationError when more than
     1e-6 of the norm would be carried past the grid edge.
     """
+    _check_finite("dx_shift", dx_shift)
+    _check_finite("dp_shift", dp_shift)
     psi = state.psi
     x = state.x
     if dx_shift != 0.0:

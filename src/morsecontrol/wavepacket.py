@@ -91,16 +91,63 @@ class CoefficientSet:
         return self.even_amplitudes is not None and self.odd_amplitudes is not None
 
 
-class _ParitySheet:
-    """The even and odd packets at one time, read-only, and the moments of
-    their products, which ``analysis.uncertainties`` fills in on first use."""
+def _trapezoid(y: np.ndarray, steps: np.ndarray) -> float:
+    """Trapezoid integral of y over a 1-d grid whose steps are ``np.diff(x)``.
 
-    __slots__ = ("even", "odd", "moments")
+    The operations of ``np.trapezoid(y, x)`` in its order, so the same bits,
+    with the steps computed once by the caller and one temporary array.
+    """
+    pairs = np.add(y[1:], y[:-1])
+    np.multiply(steps, pairs, out=pairs)
+    pairs /= 2.0
+    return float(pairs.sum())
 
-    def __init__(self, even: np.ndarray, odd: np.ndarray):
-        self.even = even
-        self.odd = odd
-        self.moments: tuple | None = None
+
+def _moment_rows(x: np.ndarray, densities: tuple[np.ndarray, ...],
+                 spectra: tuple[np.ndarray, ...]) -> tuple[tuple[float, ...], ...]:
+    """Six rows of moments on the uniform grid x.
+
+    Rows 0-2 hold the trapezoid integrals of each array in ``densities``
+    against 1, x and x^2. Rows 3-5 hold the sums of each array in
+    ``spectra``, a product of DFTs of samples on x such as |fft(psi)|^2,
+    against the DFT momentum bins 1, p and p^2, with the scaling
+    dx*dx/(2*pi) and the bin width dp. Discrete Parseval makes these sums
+    exact for the sampled state; summation order is fixed, so the results
+    are reproducible bit for bit.
+    """
+    steps = x[1:] - x[:-1]
+    x_squared = x * x
+    n = x.size
+    dx = float(steps[0])
+    p_bins = 2.0 * math.pi * np.fft.fftfreq(n, d=dx)
+    p_squared = p_bins * p_bins
+    dp = 2.0 * math.pi / (n * dx)
+    scaled = [y * dx * dx / (2.0 * math.pi) for y in spectra]
+    return (
+        tuple(_trapezoid(y, steps) for y in densities),
+        tuple(_trapezoid(x * y, steps) for y in densities),
+        tuple(_trapezoid(x_squared * y, steps) for y in densities),
+        tuple(float(np.sum(y) * dp) for y in scaled),
+        tuple(float(np.sum(p_bins * y) * dp) for y in scaled),
+        tuple(float(np.sum(p_squared * y) * dp) for y in scaled),
+    )
+
+
+def _spread(norm: float, first: float, second: float) -> float:
+    """Standard deviation from the zeroth, first and second moments of a state's
+    density or spectrum; non-finite moments name a non-finite sample."""
+    if not math.isfinite(norm + first + second):
+        raise InvalidParameterError("state has non-finite samples")
+    if norm == 0.0:
+        raise InvalidParameterError("state has zero norm")
+    mean = first / norm
+    return math.sqrt(max(second / norm - mean * mean, 0.0))
+
+
+def _products(first: np.ndarray, second: np.ndarray) -> tuple[np.ndarray, ...]:
+    """|F|^2, |S|^2, Re(conj(F)*S) and Im(conj(F)*S)."""
+    cross = np.conj(first) * second
+    return np.abs(first) ** 2, np.abs(second) ** 2, cross.real, cross.imag
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,10 +162,9 @@ class StateGrid:
     psi: np.ndarray
     theta: float | None
     t: float
-    #: (a, b, sheet) of a state that WavePacketModel.phase_locked built as
-    #: a*even + b*odd over the packets of ``sheet``; None for any other.
-    _parity_mix: tuple[complex, complex, _ParitySheet] | None = field(
-        default=None, init=False, repr=False)
+    #: (position spread, momentum spread) of a state from
+    #: WavePacketModel.phase_locked, set when it is built; None for any other.
+    _spreads: tuple[float, float] | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.x.ndim != 1 or self.x.shape != self.psi.shape:
@@ -127,12 +173,12 @@ class StateGrid:
 
     @classmethod
     def _on_checked_grid(cls, x: np.ndarray, psi: np.ndarray, theta: float | None,
-                         t: float, mix: tuple | None = None) -> "StateGrid":
+                         t: float, spreads: tuple | None = None) -> "StateGrid":
         """A state on a grid that has passed the checks of __post_init__
         already, with psi of the same length, built without repeating them."""
         state = object.__new__(cls)
         for name, value in (("x", x), ("psi", psi), ("theta", theta), ("t", t),
-                            ("_parity_mix", mix)):
+                            ("_spreads", spreads)):
             object.__setattr__(state, name, value)
         return state
 
@@ -183,10 +229,9 @@ class WavePacketModel:
     Every state at time t mixes the even and odd packets at t, which the
     model keeps for the last t it was asked for, read-only: a carpet or a
     theta scan at one time expands each packet once. Each packet sums its
-    own parity's levels with np.einsum, which calls no BLAS. A state from
-    ``phase_locked`` is read-only and keeps its time's packets, so
-    ``analysis.uncertainties`` takes its spreads from moments of the two
-    packets, computed once per time.
+    own parity's levels with np.einsum, which calls no BLAS. With the
+    packets the model keeps the moments of their products, from which
+    ``phase_locked`` gives each state its spreads.
     """
 
     def __init__(self, params: MorseParams, coeffs: CoefficientSet, x_grid: np.ndarray):
@@ -203,7 +248,7 @@ class WavePacketModel:
         self.energies = energies(params, n_levels)
         self._parities = {"even": (slice(0, None, 2), coeffs.even_amplitudes),
                           "odd": (slice(1, None, 2), coeffs.odd_amplitudes)}
-        self._packets_at: tuple[float, _ParitySheet] | None = None
+        self._packets_at: tuple[float, tuple] | None = None
 
     @property
     def dx(self) -> float:
@@ -220,12 +265,16 @@ class WavePacketModel:
         psi.flags.writeable = False
         return psi
 
-    def _packets(self, t: float) -> _ParitySheet:
-        """The even and odd packets at t, from the one-entry cache."""
+    def _packets(self, t: float) -> tuple[np.ndarray, np.ndarray, tuple]:
+        """(even, odd, moments) at t, from the one-entry cache: the two packets
+        and the ``_moment_rows`` of their products and of their DFTs' products."""
         cached = self._packets_at
         if cached is None or cached[0] != t:
             _check_finite("t", t)
-            cached = (float(t), _ParitySheet(self._packet("even", t), self._packet("odd", t)))
+            even, odd = self._packet("even", t), self._packet("odd", t)
+            moments = _moment_rows(self.x, _products(even, odd),
+                                   _products(np.fft.fft(even), np.fft.fft(odd)))
+            cached = (float(t), (even, odd, moments))
             self._packets_at = cached
         return cached[1]
 
@@ -233,30 +282,39 @@ class WavePacketModel:
         """Unit-norm packet restricted to one parity class of levels; psi is read-only."""
         if parity not in self._parities:
             raise InvalidParameterError(f"parity must be 'even' or 'odd', got {parity!r}")
-        sheet = self._packets(t)
-        return StateGrid._on_checked_grid(
-            self.x, sheet.even if parity == "even" else sheet.odd, None, t)
+        even, odd, _ = self._packets(t)
+        return StateGrid._on_checked_grid(self.x, even if parity == "even" else odd, None, t)
 
     def _mix(self, theta: float, t: float, psi: np.ndarray | None = None,
-             scratch: np.ndarray | None = None) -> tuple[float, tuple, np.ndarray]:
-        """theta reduced mod 2*pi, (a, b, packets at t), and psi = a*even + b*odd,
+             scratch: np.ndarray | None = None) -> tuple[float, complex, complex, np.ndarray]:
+        """theta reduced mod 2*pi, the weights (a, b), and psi = a*even + b*odd,
         written into the complex grid-length buffers ``psi`` and ``scratch``
         when they are given."""
         th, a, b = _phase_weights(theta)
-        sheet = self._packets(t)
-        psi = np.multiply(a, sheet.even, out=psi)
-        psi += np.multiply(b, sheet.odd, out=scratch)
-        return th, (a, b, sheet), psi
+        even, odd, _ = self._packets(t)
+        psi = np.multiply(a, even, out=psi)
+        psi += np.multiply(b, odd, out=scratch)
+        return th, a, b, psi
 
     def phase_locked(self, theta: float, t: float) -> StateGrid:
         """Coherent mix of the parity packets at control phase theta.
 
         theta is reduced mod 2*pi; the analytic norm is exactly 1. psi is
-        read-only.
+        read-only. The state carries its (position, momentum) spreads: each
+        moment of |a*E + b*O|^2 is |a|^2*EE + |b|^2*OO + 2*Re(c*EO) with
+        c = conj(a)*b, over the moments of the packets' products at t, and
+        so is each moment of its spectrum. These are the sums of the
+        state's own samples, regrouped, so they agree with them to rounding.
         """
-        th, mix, psi = self._mix(theta, t)
+        th, a, b, psi = self._mix(theta, t)
         psi.flags.writeable = False
-        return StateGrid._on_checked_grid(self.x, psi, th, t, mix)
+        a, b = complex(a), complex(b)
+        c = a.conjugate() * b
+        aa, bb = abs(a) ** 2, abs(b) ** 2
+        moments = [aa * ee + bb * oo + 2.0 * (c.real * re - c.imag * im)
+                   for ee, oo, re, im in self._packets(t)[2]]
+        return StateGrid._on_checked_grid(
+            self.x, psi, th, t, (_spread(*moments[:3]), _spread(*moments[3:])))
 
     def amplitudes(self, theta: float, t: float) -> np.ndarray:
         """The level amplitudes c_m of ``phase_locked(theta, t)``, in level order.
@@ -284,7 +342,7 @@ class WavePacketModel:
                       scratch: np.ndarray | None = None) -> np.ndarray:
         """``density(theta, t)`` written into ``out``, with ``psi`` and
         ``scratch`` as the complex buffers of ``_mix`` when given."""
-        np.abs(self._mix(theta, t, psi, scratch)[2], out=out)
+        np.abs(self._mix(theta, t, psi, scratch)[3], out=out)
         return np.square(out, out=out)
 
     def density_decomposition(self, theta: float, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -295,7 +353,6 @@ class WavePacketModel:
         where conj(a)*b = i*sin(theta)/2.
         """
         _, a, b = _phase_weights(theta)
-        sheet = self._packets(t)
-        even, odd = sheet.even, sheet.odd
+        even, odd, _ = self._packets(t)
         return (abs(a) ** 2 * np.abs(even) ** 2, abs(b) ** 2 * np.abs(odd) ** 2,
                 2.0 * np.real(np.conj(a) * b * np.conj(even) * odd))

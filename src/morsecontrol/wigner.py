@@ -30,7 +30,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .czt import CZT, next_fast_len
 from .errors import GridError, InvalidParameterError, RangeAliasingError, SpacingAliasingError
 from .morse import _check_uniform
-from .wavepacket import StateGrid
+from .wavepacket import StateGrid, _moment_rows, _spread
 
 DEFAULT_MOMENTUM_POINTS = 512
 MOMENTUM_SPAN_FACTOR = 5.0
@@ -67,59 +67,6 @@ class WignerGrid:
         return float(self.p[1] - self.p[0])
 
 
-def _trapezoid(y: np.ndarray, steps: np.ndarray) -> float:
-    """Trapezoid integral of y over a 1-d grid whose steps are ``np.diff(x)``.
-
-    The operations of ``np.trapezoid(y, x)`` in its order, so the same bits,
-    with the steps computed once by the caller and one temporary array.
-    """
-    pairs = np.add(y[1:], y[:-1])
-    np.multiply(steps, pairs, out=pairs)
-    pairs /= 2.0
-    return float(pairs.sum())
-
-
-def _moment_rows(x: np.ndarray, densities: tuple[np.ndarray, ...],
-                 spectra: tuple[np.ndarray, ...]) -> tuple[tuple[float, ...], ...]:
-    """Six rows of moments on the uniform grid x.
-
-    Rows 0-2 hold the trapezoid integrals of each array in ``densities``
-    against 1, x and x^2. Rows 3-5 hold the sums of each array in
-    ``spectra``, a product of DFTs of samples on x such as |fft(psi)|^2,
-    against the DFT momentum bins 1, p and p^2, with the scaling
-    dx*dx/(2*pi) and the bin width dp. Discrete Parseval makes these sums
-    exact for the sampled state; summation order is fixed, so the results
-    are reproducible bit for bit.
-    """
-    steps = x[1:] - x[:-1]
-    x_squared = x * x
-    n = x.size
-    dx = float(steps[0])
-    p_bins = 2.0 * math.pi * np.fft.fftfreq(n, d=dx)
-    p_squared = p_bins * p_bins
-    dp = 2.0 * math.pi / (n * dx)
-    scaled = [y * dx * dx / (2.0 * math.pi) for y in spectra]
-    return (
-        tuple(_trapezoid(y, steps) for y in densities),
-        tuple(_trapezoid(x * y, steps) for y in densities),
-        tuple(_trapezoid(x_squared * y, steps) for y in densities),
-        tuple(float(np.sum(y) * dp) for y in scaled),
-        tuple(float(np.sum(p_bins * y) * dp) for y in scaled),
-        tuple(float(np.sum(p_squared * y) * dp) for y in scaled),
-    )
-
-
-def _spread(norm: float, first: float, second: float) -> float:
-    """Standard deviation from the zeroth, first and second moments of a state's
-    density or spectrum; non-finite moments name a non-finite sample."""
-    if not math.isfinite(norm + first + second):
-        raise InvalidParameterError("state has non-finite samples")
-    if norm == 0.0:
-        raise InvalidParameterError("state has zero norm")
-    mean = first / norm
-    return math.sqrt(max(second / norm - mean * mean, 0.0))
-
-
 def spectral_moments(state: StateGrid) -> tuple[float, float]:
     """(mean, standard deviation) of the state's momentum distribution via DFT."""
     # a NaN or inf sample spreads to every bin of the spectrum, and so to its
@@ -132,9 +79,17 @@ def spectral_moments(state: StateGrid) -> tuple[float, float]:
 
 
 def auto_momentum_grid(state: StateGrid, n: int = DEFAULT_MOMENTUM_POINTS) -> np.ndarray:
-    """Symmetric uniform momentum grid reaching MOMENTUM_SPAN_FACTOR*sqrt(<p^2>)."""
+    """Symmetric uniform momentum grid reaching MOMENTUM_SPAN_FACTOR*sqrt(<p^2>).
+
+    Raises InvalidParameterError for a state with zero momentum spread and
+    mean, which sets no span; such a state needs a momentum grid of its own.
+    """
     mean, sigma = spectral_moments(state)
     p_max = MOMENTUM_SPAN_FACTOR * math.sqrt(sigma * sigma + mean * mean)
+    if p_max == 0.0:
+        raise InvalidParameterError(
+            "state has zero momentum spread and zero mean momentum, so it sets no "
+            "automatic momentum grid; pass a momentum grid p")
     return np.linspace(-p_max, p_max, n)
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -159,6 +160,29 @@ def test_underflowing_state_keeps_its_moments():
         with pytest.raises(InvalidParameterError, match="state has zero norm"):
             entry(state)
     assert spectral_moments(state) == (0.0, 0.0)
+
+
+def _one_sample_state():
+    x = np.linspace(-1.0, 1.0, 101)
+    psi = np.zeros(x.size, dtype=complex)
+    psi[50] = 1.0  # at x = 0: no position spread
+    return StateGrid(x=x, psi=psi, theta=None, t=0.0)
+
+
+def _constant_state():
+    x = np.arange(2048.0)  # all weight in the zero momentum bin
+    return StateGrid(x=x, psi=np.ones(x.size, dtype=complex), theta=None, t=0.0)
+
+
+@pytest.mark.parametrize("make, zero", [(_one_sample_state, 0), (_constant_state, 1)],
+                         ids=["dx=0", "dp=0"])
+def test_tile_area_names_a_zero_spread_product(make, zero):
+    state = make()
+    spreads = uncertainties(state)
+    assert spreads[zero] == 0.0 and spreads[1 - zero] > 0.0
+    message = f"nonzero dx*dp, got dx={spreads[0]!r} and dp={spreads[1]!r}"
+    with pytest.raises(InvalidParameterError, match=re.escape(message)):
+        tile_area(state)
 
 
 @settings(max_examples=300, deadline=None)
@@ -377,6 +401,15 @@ def test_sensitivity_scan_rejects_non_finite_max_shift(toy_x, bad):
         sensitivity_scan(gaussian_state(toy_x), "position", bad, steps=32)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "+inf", "-inf"])
+@pytest.mark.parametrize("name", ["dx_shift", "dp_shift"])
+def test_displaced_state_rejects_non_finite_shift(toy_x, name, bad):
+    # refused before any work: a NaN dp_shift would return an all-NaN state
+    # and an infinite dx_shift a bogus truncation
+    with pytest.raises(InvalidParameterError, match=f"{name}=.* is not finite"):
+        displaced_state(gaussian_state(toy_x), **{name: bad})
+
+
 def test_carpet_rows_normalized(model, times):
     _, t_rev = times
     grid = carpet(model, t_rev / 8, theta_count=9)
@@ -506,7 +539,7 @@ def test_parity_moments_agree_with_grid_route(model, times):
     for frac in (0.0, 1 / 16, 0.11, 1 / 8, 0.25, 0.37):
         for theta in np.linspace(0.0, 2.0 * math.pi, 13):
             state = model.phase_locked(theta, frac * t_rev)
-            assert state._parity_mix is not None
+            assert state._spreads is not None
             form = uncertainties(state)
             grid = uncertainties(_as_user_state(state))
             for a, b in zip(form, grid):
@@ -522,7 +555,7 @@ def test_state_keeps_its_times_packets(model, times):
     later = fresh.phase_locked(0.8, 0.3 * t_rev)
     assert uncertainties(later) != uncertainties(first)
     # first still mixes the packets of t_rev/8, and computes their moments now
-    assert first._parity_mix[2] is not later._parity_mix[2]
+    assert first._spreads != later._spreads
     expected = type(model)(model.params, model.coeffs, model.x).phase_locked(0.8, t_rev / 8)
     assert uncertainties(first) == uncertainties(expected)
     for a, b in zip(uncertainties(first), uncertainties(_as_user_state(first))):
@@ -535,5 +568,36 @@ def test_user_built_state_takes_the_grid_route(model, times, toy_x):
               _as_user_state(model.phase_locked(2.1, t_rev / 16)),
               displaced_state(model.phase_locked(0.5, t_rev / 8), dp_shift=3.0)]
     for state in states:
-        assert state._parity_mix is None
+        assert state._spreads is None
+        assert uncertainties(state) == _grid_route_uncertainties(state)
+
+
+def test_packet_moments_are_computed_once_per_time(model, times, monkeypatch):
+    from morsecontrol import wavepacket
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return moment_rows(*args)
+
+    moment_rows = wavepacket._moment_rows
+    monkeypatch.setattr(wavepacket, "_moment_rows", counted)
+    _, t_rev = times
+    fresh = type(model)(model.params, model.coeffs, model.x)
+    carpet(fresh, t_rev / 8, theta_count=9)
+    fresh.density(0.3, t_rev / 8)
+    for theta in np.linspace(0.0, 2.0 * math.pi, 16):
+        tile_area(fresh.phase_locked(theta, t_rev / 8))
+    assert len(calls) == 1
+    fresh.phase_locked(0.3, t_rev / 16)
+    assert len(calls) == 2
+
+
+def test_subsidiary_packets_carry_no_spreads(model, times):
+    # they take the grid route, like the user-built and displaced states above
+    _, t_rev = times
+    for parity in ("even", "odd"):
+        state = model.subsidiary(parity, t_rev / 8)
+        assert state._spreads is None
         assert uncertainties(state) == _grid_route_uncertainties(state)

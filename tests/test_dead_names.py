@@ -1,6 +1,7 @@
 """No dead names in the package: every imported name is used in its module
 or re-exported through ``__all__``, and every top-level function or class is
-referenced somewhere in the package or, if public, listed in ``__all__``."""
+referenced somewhere in the package or, if public, listed in ``__all__``.
+The modules import one another in one direction only (``LAYERS``)."""
 
 import ast
 from pathlib import Path
@@ -65,3 +66,35 @@ def test_every_private_definition_is_referenced():
 
 def test_every_public_definition_is_referenced_or_exported():
     assert _unreferenced(public=True) == []
+
+
+#: Each module imports from the package only modules before it here, so a
+#: helper that two modules share lives in the earlier of them.
+LAYERS = ("errors", "czt", "textfmt", "gridfile", "morse", "wavepacket", "wigner",
+          "analysis", "config", "cli", "__init__")
+
+
+def _package_imports(tree: ast.Module):
+    """(module, names) of each import from the package, relative or absolute."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level == 1 or (node.module or "").partition(".")[0] == "morsecontrol"):
+            module = node.module if node.level else node.module.partition(".")[2]
+            yield module or "__init__", [alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                package, _, module = alias.name.partition(".")
+                if package == "morsecontrol":
+                    yield module or "__init__", []
+
+
+def test_modules_import_only_earlier_layers():
+    assert sorted(LAYERS) == sorted(path.stem for path in SOURCES)
+    upward = []
+    for path, tree in SOURCES.items():
+        for module, names in _package_imports(tree):
+            if (path.stem, module, names) == ("cli", "__init__", ["__version__"]):
+                continue
+            if LAYERS.index(module) >= LAYERS.index(path.stem):
+                upward.append(f"{path.stem} imports {module}")
+    assert upward == []

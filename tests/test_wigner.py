@@ -327,6 +327,19 @@ def test_auto_momentum_grid_spans_spectrum(smoke_x):
     assert p[0] == -p[-1]
 
 
+@pytest.mark.parametrize("value", [1.0, 1e-163])
+def test_state_without_momentum_spread_needs_a_grid(value):
+    # a constant state has its whole spectrum in the zero bin, so its
+    # automatic grid would span nothing
+    x = np.arange(2048.0)
+    state = StateGrid(x=x, psi=np.full(x.size, value, dtype=complex), theta=None, t=0.0)
+    assert spectral_moments(state) == (0.0, 0.0)
+    for entry in (auto_momentum_grid, wigner_transform):
+        with pytest.raises(InvalidParameterError,
+                           match="zero momentum spread.*pass a momentum grid"):
+            entry(state)
+
+
 def _expression_spectral_moments(state):
     """The moments as one expression per sum, with fresh bins every call."""
     n, dx = state.psi.size, state.dx
