@@ -15,8 +15,7 @@ import numpy as np
 from .czt import CZT
 from .errors import GridError, InvalidParameterError, TruncationError
 from .morse import _check_uniform
-from .wavepacket import (StateGrid, WavePacketModel, _check_finite, _moment_rows, _spread,
-                         _trapezoid)
+from .wavepacket import StateGrid, WavePacketModel, _check_finite, _trapezoid, uncertainties
 from .wigner import auto_momentum_grid, wigner_overlap, wigner_transform
 
 OVERLAP_ZERO_LEVEL = 1e-2
@@ -45,23 +44,6 @@ class CarpetGrid:
     x: np.ndarray
     theta: np.ndarray
     density: np.ndarray
-
-
-def uncertainties(state: StateGrid) -> tuple[float, float]:
-    """(position spread, momentum spread) of a normalized state.
-
-    The position route is direct quadrature; the momentum route sums the
-    squared DFT spectrum, exact by discrete Parseval. A state from
-    ``WavePacketModel.phase_locked`` carries the two spreads already, from
-    the per-time moments of its parity packets.
-    """
-    if state._spreads is not None:
-        return state._spreads
-    # a NaN or inf sample is named by _spread, from the sums it spreads to
-    with np.errstate(invalid="ignore", over="ignore"):
-        moments = [row[0] for row in _moment_rows(
-            state.x, (state.density,), (np.abs(np.fft.fft(state.psi)) ** 2,))]
-    return _spread(*moments[:3]), _spread(*moments[3:])
 
 
 def tile_area(state: StateGrid) -> float:

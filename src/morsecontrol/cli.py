@@ -342,7 +342,7 @@ def cmd_metrics(ws: _Workspace, out: _Outputs) -> None:
         lobes = lobe_count(wigner_transform(state, momentum_grid(ws.cfg, state)),
                            ws.cfg.lobe_threshold)
         rows.append(ws.row(state.theta, frac, t, dx_spread, dp_spread, action,
-                           1.0 / action, fringes, lobes))
+                           tile_area(state), fringes, lobes))
     out.csv("metrics.csv", ws.header(
         "theta,t_frac,t,dx,dp,action,tile_area,fringe_amplitude,lobe_count", *rows))
 

@@ -45,6 +45,8 @@ class GridFile:
     def __post_init__(self) -> None:
         if any(a.ndim != 1 for a in self.axes):
             raise FormatError(f"axes must be 1-d, got shapes {[a.shape for a in self.axes]}")
+        if any(np.iscomplexobj(a) for a in (*self.axes, self.payload)):
+            raise FormatError("axes and payload must be real, not complex")
         dims = tuple(int(a.size) for a in self.axes)
         if self.payload.shape != dims:
             raise FormatError(

@@ -196,6 +196,33 @@ class StateGrid:
         return float(np.trapezoid(self.density, self.x))
 
 
+def spectral_moments(state: StateGrid) -> tuple[float, float]:
+    """(mean, standard deviation) of the state's momentum distribution via DFT."""
+    # a NaN or inf sample spreads to every bin of the spectrum, and so to its
+    # sums, which _spread names; numpy's warnings on the way would come first
+    with np.errstate(invalid="ignore", over="ignore"):
+        rows = _moment_rows(state.x, (), (np.abs(np.fft.fft(state.psi)) ** 2,))
+    total, first, second = (row[0] for row in rows[3:])
+    spread = _spread(total, first, second)
+    return first / total, spread
+
+
+def uncertainties(state: StateGrid) -> tuple[float, float]:
+    """(position spread, momentum spread) of a normalized state.
+
+    The position route is direct quadrature; the momentum spread is that of
+    ``spectral_moments``, which sums the squared DFT spectrum, exact by
+    discrete Parseval. A state from ``WavePacketModel.phase_locked`` carries
+    the two spreads already, from the per-time moments of its parity packets.
+    """
+    if state._spreads is not None:
+        return state._spreads
+    # a NaN or inf sample is named by _spread, from the sums it spreads to
+    with np.errstate(invalid="ignore", over="ignore"):
+        moments = [row[0] for row in _moment_rows(state.x, (state.density,), ())[:3]]
+    return _spread(*moments), spectral_moments(state)[1]
+
+
 def _phase_weights(theta: float) -> tuple[float, complex, complex]:
     """theta reduced mod 2*pi, and the weights (a, b) of the even and odd
     packets at it, from one exp(i*theta)."""

@@ -30,7 +30,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .czt import CZT, next_fast_len
 from .errors import GridError, InvalidParameterError, RangeAliasingError, SpacingAliasingError
 from .morse import _check_uniform
-from .wavepacket import StateGrid, _moment_rows, _spread
+from .wavepacket import StateGrid, spectral_moments
 
 DEFAULT_MOMENTUM_POINTS = 512
 MOMENTUM_SPAN_FACTOR = 5.0
@@ -65,17 +65,6 @@ class WignerGrid:
     @property
     def dp(self) -> float:
         return float(self.p[1] - self.p[0])
-
-
-def spectral_moments(state: StateGrid) -> tuple[float, float]:
-    """(mean, standard deviation) of the state's momentum distribution via DFT."""
-    # a NaN or inf sample spreads to every bin of the spectrum, and so to its
-    # sums, which _spread names; numpy's warnings on the way would come first
-    with np.errstate(invalid="ignore", over="ignore"):
-        rows = _moment_rows(state.x, (), (np.abs(np.fft.fft(state.psi)) ** 2,))
-    total, first, second = (row[0] for row in rows[3:])
-    spread = _spread(total, first, second)
-    return first / total, spread
 
 
 def auto_momentum_grid(state: StateGrid, n: int = DEFAULT_MOMENTUM_POINTS) -> np.ndarray:

@@ -98,3 +98,23 @@ def test_modules_import_only_earlier_layers():
             if LAYERS.index(module) >= LAYERS.index(path.stem):
                 upward.append(f"{path.stem} imports {module}")
     assert upward == []
+
+
+def _identifiers(tree: ast.AST) -> set[str]:
+    """Every name a module reads, imports or reads as an attribute."""
+    found = _names(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            found |= {alias.name for alias in node.names}
+    return found
+
+
+def test_only_wavepacket_reads_the_moment_internals():
+    # a state's spreads are decided in one module: the moments a phase-locked
+    # state carries, and the grid route of every other state
+    internals = {"_moment_rows", "_spread", "_spreads"}
+    readers = [f"{path.stem}: {name}" for path, tree in SOURCES.items()
+               if path.stem != "wavepacket" for name in sorted(_identifiers(tree) & internals)]
+    assert readers == []

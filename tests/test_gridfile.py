@@ -60,6 +60,16 @@ def test_axes_must_be_one_dimensional():
         GridFile(axes=(np.zeros((2, 2)),), payload=np.zeros(4))
 
 
+@pytest.mark.parametrize("axes, payload", [
+    ((np.arange(3.0),), np.array([1 + 2j, 3, 4j])),
+    ((np.array([0.0, 1j, 2.0]),), np.zeros(3)),
+], ids=["payload", "axis"])
+def test_complex_arrays_rejected(axes, payload):
+    # written as float64 they would come back with the imaginary parts dropped
+    with pytest.raises(FormatError, match="must be real"):
+        GridFile(axes=axes, payload=payload)
+
+
 def test_non_string_metadata_rejected():
     with pytest.raises(FormatError, match="str"):
         GridFile(axes=(np.zeros(2),), payload=np.zeros(2), meta={"a": 1})
