@@ -36,7 +36,7 @@ MAX_RANK = 8
 
 @dataclass(frozen=True, eq=False)
 class GridFile:
-    """Axes, a row-major payload over their product, and string metadata."""
+    """Float64 axes, a row-major float64 payload over their product, and string metadata."""
 
     axes: tuple[np.ndarray, ...]
     payload: np.ndarray
@@ -45,8 +45,9 @@ class GridFile:
     def __post_init__(self) -> None:
         if any(a.ndim != 1 for a in self.axes):
             raise FormatError(f"axes must be 1-d, got shapes {[a.shape for a in self.axes]}")
-        if any(np.iscomplexobj(a) for a in (*self.axes, self.payload)):
-            raise FormatError("axes and payload must be real, not complex")
+        dtypes = [a.dtype for a in (*self.axes, self.payload)]
+        if any(d != np.dtype("<f8") for d in dtypes):
+            raise FormatError(f"axes and payload must be real float64 ('<f8'), got {dtypes}")
         dims = tuple(int(a.size) for a in self.axes)
         if self.payload.shape != dims:
             raise FormatError(
@@ -65,11 +66,11 @@ def _meta_bytes(meta: dict[str, str]) -> bytes:
 def write_grid(path: str | Path, grid: GridFile) -> None:
     """Write ``grid`` section by section; float arrays go out from their own buffers.
 
-    Arrays already contiguous float64 are not copied, and every conversion
-    happens before the file is opened.
+    Contiguous arrays are not copied, and every copy is made before the file
+    is opened.
     """
     dims = tuple(int(a.size) for a in grid.axes)
-    floats = [np.ascontiguousarray(a, dtype="<f8") for a in (*grid.axes, grid.payload)]
+    floats = [np.ascontiguousarray(a) for a in (*grid.axes, grid.payload)]
     meta = _meta_bytes(grid.meta)
     with open(path, "wb") as f:
         f.write(MAGIC + ENDIAN_FLAG + struct.pack(f"<I{len(dims)}Q", len(dims), *dims))

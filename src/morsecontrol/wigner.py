@@ -43,8 +43,6 @@ SUPPORT_CUTOFF = 1e-12
 ROW_BLOCK = 16
 #: Most threads the row blocks run on; only 1 and 2 were measured.
 MAX_ROW_THREADS = 4
-#: Most values one product of a grid reduction holds (128 KB of float64).
-DOT_LEAF = 16384
 
 
 @dataclass(frozen=True, eq=False)
@@ -233,22 +231,6 @@ def marginals(w: WignerGrid) -> tuple[np.ndarray, np.ndarray]:
     return pos, mom
 
 
-def _pairwise_dot(a: np.ndarray, b: np.ndarray) -> float:
-    """``np.sum(a * b)`` for flat arrays of equal length, in DOT_LEAF-sized products.
-
-    The halves are split where numpy's pairwise summation splits them (n // 2,
-    rounded down to a multiple of 8), and each leaf is summed by ``np.sum``
-    itself, so the bits are those of the whole product's sum while the
-    scratch is one leaf instead of one grid.
-    """
-    n = a.size
-    if n <= DOT_LEAF:
-        return np.sum(a * b)
-    half = n // 2
-    half -= half % 8
-    return _pairwise_dot(a[:half], b[:half]) + _pairwise_dot(a[half:], b[half:])
-
-
 def wigner_overlap(w1: WignerGrid, w2: WignerGrid) -> float:
     """2*pi * integral of W1*W2; equals |<state1|state2>|^2 for pure states.
 
@@ -259,7 +241,7 @@ def wigner_overlap(w1: WignerGrid, w2: WignerGrid) -> float:
         raise GridError("Wigner grids have different shapes")
     if not (np.array_equal(w1.x, w2.x) and np.array_equal(w1.p, w2.p)):
         raise GridError("Wigner grids are on different axes")
-    dot = _pairwise_dot(w1.values.ravel(), w2.values.ravel())
+    dot = np.einsum("i,i->", w1.values.ravel(), w2.values.ravel())
     return float(2.0 * math.pi * dot * w1.dx * w1.dp)
 
 

@@ -6,7 +6,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 from itertools import chain
 from pathlib import Path
 
@@ -913,3 +913,18 @@ def test_merged_config_errors_name_their_source(tmp_path, monkeypatch, text, set
     with pytest.raises(ConfigError) as caught:
         load_config(args.config, args.set)
     assert str(caught.value) == message.format(path=str(config))
+
+
+def test_readme_key_table_lists_every_config_key():
+    # the first column of README's key table names each RunConfig field once,
+    # in backticked cells that may hold a comma list (`x_min, x_max, nx`)
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    lines = readme.splitlines()
+    start = lines.index("| key | default | meaning |") + 2
+    names = []
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        for cell in re.findall(r"`([^`]*)`", line.split("|")[1]):
+            names += [name.strip() for name in cell.split(",")]
+    assert sorted(names) == sorted(f.name for f in fields(RunConfig))

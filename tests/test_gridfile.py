@@ -70,6 +70,19 @@ def test_complex_arrays_rejected(axes, payload):
         GridFile(axes=axes, payload=payload)
 
 
+@pytest.mark.parametrize("axes, payload", [
+    ((np.arange(2.0),), np.array([2**53 + 1, 3])),
+    ((np.array(["a", "b"]),), np.zeros(2)),
+    ((np.arange(2.0),), np.array([0.1, 3.0], dtype=np.float32)),
+    ((np.arange(2.0).astype(">f8"),), np.zeros(2)),
+], ids=["int64-payload", "string-axis", "float32-payload", "big-endian-axis"])
+def test_non_float64_arrays_rejected(axes, payload):
+    # a cast on write would round 2**53 + 1, fail on the strings only in
+    # write_grid, and read the float32 and '>f8' values back with other bytes
+    with pytest.raises(FormatError, match="must be real float64"):
+        GridFile(axes=axes, payload=payload)
+
+
 def test_non_string_metadata_rejected():
     with pytest.raises(FormatError, match="str"):
         GridFile(axes=(np.zeros(2),), payload=np.zeros(2), meta={"a": 1})

@@ -16,6 +16,7 @@ from morsecontrol import (
     auto_momentum_grid,
     build_model,
     characteristic_times,
+    displaced_state,
     lobe_count,
     marginals,
     purity,
@@ -117,7 +118,7 @@ def test_transform_peak_memory_stays_near_the_output(classification_states, monk
 
 
 def test_overlap_peak_memory_is_one_leaf(classification_wigner):
-    # the product of the two grids is formed one DOT_LEAF piece at a time
+    # the product of the two grids is summed as it is formed, with no copy
     w = classification_wigner["compass T/8"]
     tracemalloc.start()
     try:
@@ -298,16 +299,31 @@ def test_wigner_overlap_rejects_different_axes(smoke_x):
         wigner_overlap(w, shifted)
 
 
-@pytest.mark.parametrize("leaf", [1024, 16384])
-@pytest.mark.parametrize("shape", [(2048, 512), (4096, 1024), (1001, 203), (97, 33),
-                                   (3000, 777), (128, 128), (12345,), (1, 70001)])
-def test_pairwise_dot_is_numpy_sum_bit_for_bit(monkeypatch, shape, leaf):
-    # the split must be np.sum's own; a numpy that splits otherwise fails here
-    monkeypatch.setattr(wigner, "DOT_LEAF", leaf)
-    rng = np.random.default_rng(leaf + sum(shape))
-    a, b = rng.standard_normal(shape), rng.standard_normal(shape)
-    assert wigner._pairwise_dot(a.ravel(), b.ravel()) == np.sum(a * b)
-    assert wigner._pairwise_dot(a.ravel(), a.ravel()) == np.sum(a * a)
+def _random_grid(rng, shape):
+    return WignerGrid(x=np.linspace(-1.0, 1.0, shape[0]), p=np.linspace(-3.0, 3.0, shape[1]),
+                      values=rng.standard_normal(shape), theta=None, t=0.0, norm_captured=1.0)
+
+
+def test_wigner_overlap_is_within_rounding_of_an_exact_sum(classification_states,
+                                                           classification_wigner):
+    # einsum sums the n products in a fixed number k >= 8 of SIMD
+    # accumulators, so its rounding error grows like sqrt(n / k) * eps of
+    # sum|W1*W2|: about 8e-14 at n = 2**20 (a desk-scale grid is 2**20
+    # cells). The most measured on the paper states is 1.1e-15; the worst
+    # case for any order of summation, (n - 1) * eps, is 2.3e-10.
+    pairs = []
+    for label, (state, _) in classification_states.items():
+        w = classification_wigner[label]
+        moved = wigner_transform(displaced_state(state, dx_shift=0.002), w.p)
+        pairs += [(w, w), (w, moved)]
+    rng = np.random.default_rng(32)
+    for shape in ((1001, 203), (97, 33)):
+        pairs.append((_random_grid(rng, shape), _random_grid(rng, shape)))
+    for w1, w2 in pairs:
+        product = (w1.values * w2.values).ravel()
+        scale = 2.0 * math.pi * w1.dx * w1.dp
+        exact = scale * math.fsum(product.tolist())
+        assert abs(wigner_overlap(w1, w2) - exact) <= 1e-13 * scale * np.abs(product).sum()
 
 
 def test_overlap_grid_mismatch_rejected(smoke_x):
