@@ -44,15 +44,12 @@ def test_table2_tile_areas_hold_on_the_ladder(ladder):
 
 
 def test_cat_and_compass_lobe_counts_hold_on_the_ladder(ladder):
-    gated = [(label, copies) for label, _, _, copies in PAPER_STATES if copies != 8]
-    assert [copies for _, copies in gated] == [2, 4, 4, 4]
+    # the eight-fold counts are printed as information and gate nothing:
+    # they are not grid-converged, and acceptance criterion 4 records that
+    # they do not reach 8
+    expected = {label: copies for label, _, _, copies in PAPER_STATES if copies != 8}
+    assert list(expected.values()) == [2, 4, 4, 4]
     for rung, (_, lobes) in ladder.items():
-        assert {label: lobes[label] for label, _ in gated} == dict(gated), rung
-
-
-def test_eightfold_lobe_counts_on_the_ladder_are_reported(ladder):
-    # information only: the eight-fold counts are not grid-converged, and
-    # acceptance criterion 4 records that they do not reach 8
-    for rung, (_, lobes) in ladder.items():
-        counts = {label: lobes[label] for label, _, _, copies in PAPER_STATES if copies == 8}
-        print(f"CONVERGENCE eight-fold lobe counts at (nx, np) = {rung}: {counts}")
+        eightfold = {label: n for label, n in lobes.items() if label not in expected}
+        print(f"CONVERGENCE eight-fold lobe counts at (nx, np) = {rung}: {eightfold}")
+        assert {label: lobes[label] for label in expected} == expected, rung
