@@ -196,15 +196,28 @@ class StateGrid:
         return float(np.trapezoid(self.density, self.x))
 
 
-def spectral_moments(state: StateGrid) -> tuple[float, float]:
-    """(mean, standard deviation) of the state's momentum distribution via DFT."""
+def _state_spectrum(state: StateGrid, position: bool = False
+                    ) -> tuple[tuple[float, float], float | None, np.ndarray]:
+    """((mean, standard deviation) of the state's momentum distribution via
+    DFT, its position spread when ``position`` (None otherwise), and the
+    squared DFT spectrum |fft(psi)|^2), from one ``_moment_rows`` call.
+
+    The one formula of every grid state's momentum spread.
+    """
     # a NaN or inf sample spreads to every bin of the spectrum, and so to its
     # sums, which _spread names; numpy's warnings on the way would come first
     with np.errstate(invalid="ignore", over="ignore"):
-        rows = _moment_rows(state.x, (), (np.abs(np.fft.fft(state.psi)) ** 2,))
+        power = np.abs(np.fft.fft(state.psi)) ** 2
+        rows = _moment_rows(state.x, (state.density,) if position else (), (power,))
+    spread_x = _spread(*(row[0] for row in rows[:3])) if position else None
     total, first, second = (row[0] for row in rows[3:])
-    spread = _spread(total, first, second)
-    return first / total, spread
+    spread_p = _spread(total, first, second)
+    return (first / total, spread_p), spread_x, power
+
+
+def spectral_moments(state: StateGrid) -> tuple[float, float]:
+    """(mean, standard deviation) of the state's momentum distribution via DFT."""
+    return _state_spectrum(state)[0]
 
 
 def uncertainties(state: StateGrid) -> tuple[float, float]:
@@ -212,15 +225,14 @@ def uncertainties(state: StateGrid) -> tuple[float, float]:
 
     The position route is direct quadrature; the momentum spread is that of
     ``spectral_moments``, which sums the squared DFT spectrum, exact by
-    discrete Parseval. A state from ``WavePacketModel.phase_locked`` carries
-    the two spreads already, from the per-time moments of its parity packets.
+    discrete Parseval. Both come from one pass over the grid. A state from
+    ``WavePacketModel.phase_locked`` carries the two spreads already, from
+    the per-time moments of its parity packets.
     """
     if state._spreads is not None:
         return state._spreads
-    # a NaN or inf sample is named by _spread, from the sums it spreads to
-    with np.errstate(invalid="ignore", over="ignore"):
-        moments = [row[0] for row in _moment_rows(state.x, (state.density,), ())[:3]]
-    return _spread(*moments), spectral_moments(state)[1]
+    (_, spread_p), spread_x, _ = _state_spectrum(state, position=True)
+    return spread_x, spread_p
 
 
 def _phase_weights(theta: float) -> tuple[float, complex, complex]:

@@ -601,3 +601,25 @@ def test_subsidiary_packets_carry_no_spreads(model, times):
         state = model.subsidiary(parity, t_rev / 8)
         assert state._spreads is None
         assert uncertainties(state) == _grid_route_uncertainties(state)
+
+
+def test_grid_route_takes_both_spreads_from_one_pass(model, times, toy_x, monkeypatch):
+    # the position and momentum rows of a grid-route state come from one
+    # _moment_rows call, so its grid steps and DFT bins are formed once
+    from morsecontrol import wavepacket
+
+    _, t_rev = times
+    states = [gaussian_state(toy_x, x0=0.4, p0=-1.3, sigma=0.6),
+              model.subsidiary("odd", t_rev / 8),
+              displaced_state(model.phase_locked(0.5, t_rev / 8), dp_shift=3.0)]
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return moment_rows(*args)
+
+    moment_rows = wavepacket._moment_rows
+    monkeypatch.setattr(wavepacket, "_moment_rows", counted)
+    for count, state in enumerate(states, start=1):
+        uncertainties(state)
+        assert len(calls) == count
