@@ -30,12 +30,15 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .czt import CZT, next_fast_len
 from .errors import GridError, InvalidParameterError, RangeAliasingError, SpacingAliasingError
 from .morse import _check_uniform
-from .wavepacket import StateGrid, spectral_moments
+from .wavepacket import StateGrid, _state_spectrum, spectral_moments
 
 DEFAULT_MOMENTUM_POINTS = 512
 MOMENTUM_SPAN_FACTOR = 5.0
 #: Reject momentum grids that do not reach this many spectral widths.
 MOMENTUM_COVERAGE_FACTOR = 3.0
+#: Most of the |fft(psi)|^2 mass, as a share of the whole, that the automatic
+#: momentum grid may leave beyond its ends; W loses that share of its norm.
+MOMENTUM_TAIL_FLOOR = 1e-12
 SUPPORT_CUTOFF = 1e-12
 #: Row pairs per chirp-z call; the rows are the same bits at any block size.
 #: 16 pairs took about a fifth less time than 8; 24 was faster still, but
@@ -68,15 +71,29 @@ class WignerGrid:
 def auto_momentum_grid(state: StateGrid, n: int = DEFAULT_MOMENTUM_POINTS) -> np.ndarray:
     """Symmetric uniform momentum grid reaching MOMENTUM_SPAN_FACTOR*sqrt(<p^2>).
 
-    Raises InvalidParameterError for a state with zero momentum spread and
-    mean, which sets no span; such a state needs a momentum grid of its own.
+    Where the state's DFT spectrum holds more than MOMENTUM_TAIL_FLOOR of
+    its mass beyond that reach, the grid reaches instead to the smallest DFT
+    bin beyond which it holds no more; the spectrum is the one the moments
+    are taken from. Raises InvalidParameterError for a state with zero
+    momentum spread and mean, which sets no span; such a state needs a
+    momentum grid of its own.
     """
-    mean, sigma = spectral_moments(state)
+    (mean, sigma), _, power = _state_spectrum(state)
     p_max = MOMENTUM_SPAN_FACTOR * math.sqrt(sigma * sigma + mean * mean)
     if p_max == 0.0:
         raise InvalidParameterError(
             "state has zero momentum spread and zero mean momentum, so it sets no "
             "automatic momentum grid; pass a momentum grid p")
+    # beyond[k]: the mass in the bins |p| > k*bin, k = 0 .. nx//2 (the
+    # Nyquist bin), from the spectrum folded onto |p|
+    nx = power.size
+    folded = power[:nx // 2 + 1].copy()
+    folded[1:(nx + 1) // 2] += power[:nx // 2:-1]
+    beyond = np.append(np.cumsum(folded[:0:-1])[::-1], 0.0)
+    bin_width = 2.0 * math.pi / (nx * state.dx)
+    limit = MOMENTUM_TAIL_FLOOR * (beyond[0] + folded[0])
+    if beyond[min(int(p_max / bin_width), nx // 2)] > limit:
+        p_max = bin_width * int(np.argmax(beyond <= limit))
     return np.linspace(-p_max, p_max, n)
 
 

@@ -343,6 +343,53 @@ def test_auto_momentum_grid_spans_spectrum(smoke_x):
     assert p[0] == -p[-1]
 
 
+def _spectrum_beyond(state, p_max):
+    """Share of |fft(psi)|^2 in the DFT bins with |p| > p_max, bin by bin."""
+    power = np.abs(np.fft.fft(state.psi)) ** 2
+    bins = np.abs(2.0 * math.pi * np.fft.fftfreq(power.size, d=state.dx))
+    return math.fsum(power[bins > p_max]) / math.fsum(power)
+
+
+def test_auto_momentum_grid_keeps_the_span_rule_on_the_paper_states(classification_states):
+    # their spectra leave at most ~1e-16 beyond the 5-sigma reach, far below
+    # the tail floor, so their grids are those of the span rule to the bit
+    for state, _ in classification_states.values():
+        mean, sigma = spectral_moments(state)
+        p_max = wigner.MOMENTUM_SPAN_FACTOR * math.sqrt(sigma * sigma + mean * mean)
+        assert np.array_equal(auto_momentum_grid(state), np.linspace(-p_max, p_max, 512))
+        assert _spectrum_beyond(state, p_max) < 1e-15
+
+
+@pytest.fixture(scope="module")
+def quarter_band():
+    """The T_rev/4 band where the two parity packets recombine and the
+    spectrum has a tail far past its spread, at nx=1024, np=256."""
+    model = build_model(RunConfig(nx=1024, np=256))
+    t_rev = characteristic_times(I2)[1]
+    return [model.phase_locked(float(theta), frac * t_rev)
+            for frac in (0.234, 0.242, 0.25, 0.258)
+            for theta in np.linspace(0.22 * math.pi, 1.78 * math.pi, 16)]
+
+
+def test_auto_momentum_grid_holds_the_whole_spectrum(quarter_band):
+    # the 5-sigma span left up to 8.1e-4 of W's norm off the grid on this
+    # band; the widened grid held all but 2.8e-12 of it when measured
+    widened = 0
+    for state in quarter_band:
+        p = auto_momentum_grid(state, n=256)
+        w = wigner_transform(state, p)
+        assert abs(w.norm_captured - 1.0) <= 1e-9
+        assert _spectrum_beyond(state, p[-1]) <= 1.001 * wigner.MOMENTUM_TAIL_FLOOR
+        mean, sigma = spectral_moments(state)
+        if p[-1] != wigner.MOMENTUM_SPAN_FACTOR * math.sqrt(sigma * sigma + mean * mean):
+            widened += 1
+            # the smallest DFT bin that holds the tail: one bin less would not
+            bin_width = 2.0 * math.pi / (state.x.size * state.dx)
+            assert _spectrum_beyond(state, p[-1] - 0.5 * bin_width) > wigner.MOMENTUM_TAIL_FLOOR
+    # 11 of the 64 grids widened when measured
+    assert 5 <= widened <= 20
+
+
 @pytest.mark.parametrize("value", [1.0, 1e-163])
 def test_state_without_momentum_spread_needs_a_grid(value):
     # a constant state has its whole spectrum in the zero bin, so its
