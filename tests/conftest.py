@@ -42,11 +42,12 @@ def classification_wigner(classification_states):
             for label, (state, _) in classification_states.items()}
 
 
-def _direct_wigner(state, p):
+def _direct_wigner(state, p, rows=None):
     """Wigner values by the explicit phase-matrix sum over x', row by row.
 
     The same quadrature as ``wigner_transform`` (same support, lags and
     prefactor) without the chirp-z transform: the oracle for the fast path.
+    ``rows``, the row indices to compute, defaults to every row.
     """
     psi = state.psi.astype(np.complex128)
     nx, dx = psi.size, state.dx
@@ -55,12 +56,12 @@ def _direct_wigner(state, p):
     padded = np.zeros(nx + 2 * half, dtype=np.complex128)
     padded[half:half + nx] = psi
     phase = np.exp(-2j * np.outer(offsets, np.asarray(p, dtype=float)))
-    rows = []
-    for i in range(nx):
+    values = []
+    for i in range(nx) if rows is None else rows:
         seg = padded[i:i + 2 * half + 1]
         corr = np.conj(seg[::-1]) * seg
-        rows.append(np.real(corr @ phase) * (dx / math.pi))
-    return np.vstack(rows)
+        values.append(np.real(corr @ phase) * (dx / math.pi))
+    return np.vstack(values)
 
 
 @pytest.fixture(scope="session")
