@@ -197,10 +197,10 @@ class StateGrid:
 
 
 def _state_spectrum(state: StateGrid, position: bool = False
-                    ) -> tuple[tuple[float, float], float | None, np.ndarray]:
-    """((mean, standard deviation) of the state's momentum distribution via
+                    ) -> tuple[float, float, float | None, np.ndarray]:
+    """(mean, standard deviation) of the state's momentum distribution via
     DFT, its position spread when ``position`` (None otherwise), and the
-    squared DFT spectrum |fft(psi)|^2), from one ``_moment_rows`` call.
+    squared DFT spectrum |fft(psi)|^2, from one ``_moment_rows`` call.
 
     The one formula of every grid state's momentum spread.
     """
@@ -212,12 +212,12 @@ def _state_spectrum(state: StateGrid, position: bool = False
     spread_x = _spread(*(row[0] for row in rows[:3])) if position else None
     total, first, second = (row[0] for row in rows[3:])
     spread_p = _spread(total, first, second)
-    return (first / total, spread_p), spread_x, power
+    return first / total, spread_p, spread_x, power
 
 
 def spectral_moments(state: StateGrid) -> tuple[float, float]:
     """(mean, standard deviation) of the state's momentum distribution via DFT."""
-    return _state_spectrum(state)[0]
+    return _state_spectrum(state)[:2]
 
 
 def uncertainties(state: StateGrid) -> tuple[float, float]:
@@ -231,7 +231,7 @@ def uncertainties(state: StateGrid) -> tuple[float, float]:
     """
     if state._spreads is not None:
         return state._spreads
-    (_, spread_p), spread_x, _ = _state_spectrum(state, position=True)
+    _, spread_p, spread_x, _ = _state_spectrum(state, position=True)
     return spread_x, spread_p
 
 

@@ -87,20 +87,20 @@ def auto_momentum_grid(state: StateGrid, n: int = DEFAULT_MOMENTUM_POINTS) -> np
     momentum spread and mean, which sets no span; such a state needs a
     momentum grid of its own.
     """
-    (mean, sigma), _, power = _state_spectrum(state)
+    mean, sigma, _, power = _state_spectrum(state)
     p_max = MOMENTUM_SPAN_FACTOR * math.sqrt(sigma * sigma + mean * mean)
     if p_max == 0.0:
         raise InvalidParameterError(
             "state has zero momentum spread and zero mean momentum, so it sets no "
             "automatic momentum grid; pass a momentum grid p")
-    # beyond[k]: the mass in the bins |p| > k*bin, k = 0 .. nx//2 (the
-    # Nyquist bin), from the spectrum folded onto |p|
+    # beyond[k]: the spectrum's mass in the DFT bins |p| > k*bin, for
+    # k = 0 .. nx//2 (the Nyquist bin), summed from the outermost bin in
     nx = power.size
-    folded = power[:nx // 2 + 1].copy()
-    folded[1:(nx + 1) // 2] += power[:nx // 2:-1]
+    k = np.arange(nx)
+    folded = np.bincount(np.minimum(k, nx - k), weights=power)
     beyond = np.append(np.cumsum(folded[:0:-1])[::-1], 0.0)
     bin_width = 2.0 * math.pi / (nx * state.dx)
-    limit = MOMENTUM_TAIL_FLOOR * (beyond[0] + folded[0])
+    limit = MOMENTUM_TAIL_FLOOR * float(power.sum())
     if beyond[min(int(p_max / bin_width), nx // 2)] > limit:
         p_max = bin_width * int(np.argmax(beyond <= limit))
     return np.linspace(-p_max, p_max, n)
